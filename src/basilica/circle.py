@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .errors import ParseError, UnsupportedDenominator
 
-Frac = Fraction
-
 
 def _on_grid(den: int) -> bool:
     """True iff den divides 3*2^a for some a, i.e. den = 2^a or 3*2^a."""
@@ -265,10 +263,11 @@ def parse_pl(text: str) -> PLCircleMap:
     """Parse the "x1:y1,x2:y2,..." wire format."""
     pairs = []
     for chunk in text.strip().split(","):
-        if ":" not in chunk:
+        if chunk.count(":") != 1:
             raise ParseError(f"bad breakpoint {chunk!r}")
         x, y = chunk.split(":")
         pairs.append((parse_angle(x), parse_angle(y)))
-    if not pairs:
-        raise ParseError("empty PL map")
-    return PLCircleMap(pairs)
+    try:
+        return PLCircleMap(pairs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

@@ -49,8 +49,16 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as malformed input: exit 2 means REJECT."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tb", description="exact arithmetic on Basilica rearrangements"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -62,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to a file instead of stdout")
         return p
 
-    add("reduce", element={"required": True})
+    add("reduce", element={}, word={})
     add("compose", element={"action": "append", "required": True})
-    add("invert", element={})
+    add("invert", element={}, word={})
     add("eval", element={}, word={}, angle={"required": True})
     add("recognize", pl={"required": True})
     add("decompose", element={}, word={})
     add("word", word={"required": True})
-    p = add("tau", element={}, treepair={}, boundary={"action": "store_true"})
+    p = add("tau", element={}, word={}, treepair={}, boundary={"action": "store_true"})
     p.add_argument("--inverse", action="store_true")
     add("abelianize", element={}, word={})
     add("gap", gap={"required": True}, word={})
@@ -78,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         seed={"type": int, "required": True},
         length={"type": int, "required": True},
     )
-    add("render", element={}, diagram={})
+    add("render", element={}, word={}, diagram={})
     return parser
 
 
@@ -102,13 +110,13 @@ def _run(args) -> str:
     if verb == "decompose":
         return wd.format_word(wd.decompose(_element_from_args(args)))
     if verb == "word":
-        return str(wd.eval_word(wd.parse_word(_stdin_or(args.word))))
+        return str(_element_from_args(args))
     if verb == "tau":
         if args.inverse:
             if args.treepair is None:
                 raise ParseError("tau --inverse needs --treepair")
             return str(th.tau_inverse(th.parse_treepair(_stdin_or(args.treepair))))
-        e = el.parse_element(_stdin_or(args.element))
+        e = _element_from_args(args)
         if args.boundary:
             return str(th.boundary_action(e))
         return str(th.tau(e))
@@ -117,15 +125,16 @@ def _run(args) -> str:
     if verb == "gap":
         gap = parse_gap(_stdin_or(args.gap))
         if args.word is not None:
-            e = wd.eval_word(wd.parse_word(_stdin_or(args.word)))
-            return str(el.image_of_gap(e, gap))
+            return str(el.image_of_gap(_element_from_args(args), gap))
         return wd.format_word(wd.transport_gap_to_center(gap))
     if verb == "random":
+        if args.length < 0:
+            raise ParseError(f"length {args.length} is negative")
         return str(wd.random_element(args.seed, args.length))
     if verb == "render":
         if args.diagram is not None:
             return rd.render_diagram(parse_diagram(_stdin_or(args.diagram)))
-        return rd.render_element(el.parse_element(_stdin_or(args.element)))
+        return rd.render_element(_element_from_args(args))
     raise AssertionError(f"unhandled verb {verb}")
 
 
@@ -137,8 +146,6 @@ def main(argv=None) -> int:
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TypeError, AttributeError):
-        raise
     except BasilicaError as exc:
         witness = "" if exc.witness is None else f" {exc.witness}"
         print(f"REJECT {exc.code}{witness}")

@@ -1,10 +1,11 @@
-"""Arc diagrams as a forest of four ternary trees over the base subdivision.
+"""Arc diagrams as a forest of four ternary trees over the base subdivision,
+and the forest-pair engine they share with the tree pairs of Thompson's T.
 
 Trees are immutable nested tuples: a leaf is None, an internal node is a
-3-tuple of subtrees.  Each internal node stands for the 1:2:1 subdivision
-of its interval by the interval's primary arc.  Leaf contexts (which gap a
-leaf borders) are carried by construction and cross-checked against the
-ancestor computation in tests.
+tuple of subtrees (three in an arc diagram).  Each internal node stands for
+the 1:2:1 subdivision of its interval by the interval's primary arc.  Leaf
+contexts (which gap a leaf borders) are carried by construction and
+cross-checked against the ancestor computation in tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .lamination import (
     BASE_ARC_HALF,
     BASE_ARC_ZERO,
     StandardInterval,
-    _descend,
     base_intervals,
     primary_arc,
     subdivide,
@@ -33,7 +33,7 @@ LEAF = None
 def _tree_leaf_count(tree) -> int:
     if tree is LEAF:
         return 1
-    return sum(_tree_leaf_count(child) for child in tree)
+    return sum(map(_tree_leaf_count, tree))
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,6 @@ class LeafInfo:
     interval: StandardInterval
     labels: tuple | None   # (d1, d2) dyadic labels when central-adjacent
     behind: Arc | None     # bounding arc when the leaf sits behind an arc
-
-    @property
-    def is_central_adjacent(self) -> bool:
-        return self.labels is not None
 
 
 _BASE_CONTEXTS = (
@@ -99,7 +95,7 @@ class ArcDiagram:
         return self._arcs
 
     def leaf_count(self) -> int:
-        return sum(_tree_leaf_count(tree) for tree in self.forest)
+        return forest_leaf_count(self.forest)
 
     def arc_count(self) -> int:
         return len(self.arcs())
@@ -129,7 +125,7 @@ class ArcDiagram:
         return hash(self.forest)
 
     def __str__(self) -> str:
-        return ",".join(_format_tree(tree) for tree in self.forest)
+        return format_forest(self.forest)
 
     def __repr__(self) -> str:
         return f"ArcDiagram({self})"
@@ -197,8 +193,6 @@ def minimal_diagram_containing(arcs) -> ArcDiagram:
     for arc in arcs:
         if arc in (BASE_ARC_HALF, BASE_ARC_ZERO):
             continue
-        a, b = arc.endpoints
-        _descend(a, b)  # validates; raises NotAnArc on bad input
         interval = _find_defining_interval(arc)
         base_idx, path = interval.depth_path[0], interval.depth_path[1:]
         forest[base_idx] = _ensure_internal(forest[base_idx], path)
@@ -228,17 +222,9 @@ def _find_defining_interval(arc: Arc) -> StandardInterval:
     return interval
 
 
-def _merge_trees(s, t):
-    if s is LEAF:
-        return t
-    if t is LEAF:
-        return s
-    return tuple(_merge_trees(a, b) for a, b in zip(s, t))
-
-
 def common_refinement(d1: ArcDiagram, d2: ArcDiagram) -> ArcDiagram:
     """Minimal diagram containing the arcs of both (node-wise forest union)."""
-    return ArcDiagram(tuple(_merge_trees(a, b) for a, b in zip(d1.forest, d2.forest)))
+    return ArcDiagram(forest_merge(d1.forest, d2.forest))
 
 
 def refines(coarse: ArcDiagram, fine: ArcDiagram) -> bool:
@@ -250,20 +236,7 @@ def subtree_shapes(coarse: ArcDiagram, fine: ArcDiagram) -> list:
 
     Requires fine to refine coarse.
     """
-    shapes: list = []
-    for c, f in zip(coarse.forest, fine.forest):
-        _collect_shapes(c, f, shapes)
-    return shapes
-
-
-def _collect_shapes(coarse, fine, out):
-    if coarse is LEAF:
-        out.append(fine)
-        return
-    if fine is LEAF:
-        raise ValueError("diagram does not refine the coarse one")
-    for c, f in zip(coarse, fine):
-        _collect_shapes(c, f, out)
+    return forest_shapes(coarse.forest, fine.forest)
 
 
 def graft(diagram: ArcDiagram, shapes) -> ArcDiagram:
@@ -271,64 +244,160 @@ def graft(diagram: ArcDiagram, shapes) -> ArcDiagram:
     shapes = list(shapes)
     if len(shapes) != diagram.leaf_count():
         raise ValueError("shape count must match leaf count")
-    it = iter(shapes)
-    return ArcDiagram(tuple(_graft_tree(tree, it) for tree in diagram.forest))
-
-
-def _graft_tree(tree, it):
-    if tree is LEAF:
-        return next(it)
-    return tuple(_graft_tree(child, it) for child in tree)
+    return ArcDiagram(forest_graft(diagram.forest, shapes))
 
 
 def sibling_triples(diagram: ArcDiagram) -> list[int]:
     """Starting leaf positions of internal nodes whose children are all leaves."""
-    out: list[int] = []
-    offset = 0
-    for tree in diagram.forest:
-        _scan_triples(tree, offset, out)
-        offset += _tree_leaf_count(tree)
-    return out
-
-
-def _scan_triples(tree, start, out):
-    if tree is LEAF:
-        return
-    if all(child is LEAF for child in tree):
-        out.append(start)
-        return
-    for child in tree:
-        _scan_triples(child, start, out)
-        start += _tree_leaf_count(child)
+    return forest_carets(diagram.forest)
 
 
 def collapse_at(diagram: ArcDiagram, start: int) -> ArcDiagram:
     """Collapse the all-leaf internal node starting at the given leaf position."""
-    forest = list(diagram.forest)
-    for i, tree in enumerate(forest):
+    return ArcDiagram(forest_collapse(diagram.forest, start))
+
+
+# -- the forest-pair engine ----------------------------------------------------
+#
+# Shared by the arc pair diagrams of T_B (ternary trees over the four base
+# intervals) and the tree pairs of Thompson's T (binary trees over the two
+# halves).  A forest is a tuple of trees; a node's arity is its length.  A
+# pair is (domain forest, range forest, offset): domain leaf i goes to range
+# leaf (i + offset) mod m.  A caret is a node whose children are all leaves.
+
+def forest_leaf_count(forest) -> int:
+    return sum(map(_tree_leaf_count, forest))
+
+
+def forest_carets(forest) -> list[int]:
+    """Starting leaf positions of the carets, left to right."""
+    out: list[int] = []
+    start = 0
+    for tree in forest:
+        if tree is not LEAF:
+            _caret_starts(tree, start, out)
+        start += _tree_leaf_count(tree)
+    return out
+
+
+def _caret_starts(tree, start, out):
+    if not any(tree):
+        out.append(start)
+        return
+    for child in tree:
+        if child is not LEAF:
+            _caret_starts(child, start, out)
+        start += _tree_leaf_count(child)
+
+
+def forest_collapse(forest, start: int):
+    """Replace the caret starting at the given leaf position by a leaf."""
+    trees = list(forest)
+    for i, tree in enumerate(trees):
         n = _tree_leaf_count(tree)
         if start < n:
-            forest[i] = _collapse_tree(tree, start)
-            return ArcDiagram(forest)
+            trees[i] = _collapse_tree(tree, start)
+            return tuple(trees)
         start -= n
     raise IndexError("collapse position out of range")
 
 
 def _collapse_tree(tree, start):
     if tree is LEAF:
-        raise ValueError("no collapsible node at position")
-    if all(child is LEAF for child in tree):
+        raise ValueError("no caret at position")
+    if not any(tree):
         if start != 0:
-            raise ValueError("position does not start the triple")
+            raise ValueError("position does not start the caret")
         return LEAF
     children = list(tree)
     for i, child in enumerate(children):
         n = _tree_leaf_count(child)
-        if 0 <= start < n:
+        if start < n:
             children[i] = _collapse_tree(child, start)
             return tuple(children)
         start -= n
-    raise ValueError("no collapsible node at position")
+    raise ValueError("no caret at position")
+
+
+def _merge_trees(s, t):
+    if s is LEAF:
+        return t
+    if t is LEAF:
+        return s
+    return tuple(map(_merge_trees, s, t))
+
+
+def forest_merge(f1, f2):
+    """The node-wise union of two forests over the same roots."""
+    return tuple(map(_merge_trees, f1, f2))
+
+
+def forest_shapes(coarse, fine) -> list:
+    """For each leaf of `coarse`, the subtree of `fine` sitting at it."""
+    out: list = []
+    for c, f in zip(coarse, fine):
+        _collect_shapes(c, f, out)
+    return out
+
+
+def _collect_shapes(coarse, fine, out):
+    if coarse is LEAF:
+        out.append(fine)
+        return
+    if fine is LEAF:
+        raise ValueError("forest does not refine the coarse one")
+    for c, f in zip(coarse, fine):
+        _collect_shapes(c, f, out)
+
+
+def forest_graft(forest, shapes):
+    """Attach the given subtrees at the leaves of the forest, in order."""
+    it = iter(shapes)
+    return tuple([_graft_tree(tree, it) for tree in forest])
+
+
+def _graft_tree(tree, it):
+    if tree is LEAF:
+        return next(it)
+    return tuple([_graft_tree(child, it) for child in tree])
+
+
+def pair_reduce(domain, range_, offset: int):
+    """Cancel carets that the pair carries onto carets until none remain.
+
+    A range caret never wraps past the last leaf, so a domain caret whose
+    first leaf lands on the first leaf of a range caret lands on all of it.
+    """
+    while True:
+        m = forest_leaf_count(domain)
+        range_starts = set(forest_carets(range_))
+        for s in forest_carets(domain):
+            t = (s + offset) % m
+            if t in range_starts:
+                break
+        else:
+            return domain, range_, offset
+        domain = forest_collapse(domain, s)
+        range_ = forest_collapse(range_, t)
+        offset = (t - s) % forest_leaf_count(domain)
+
+
+def pair_compose(f, g):
+    """f after g, for pairs with offsets in [0, m).  The result is reduced."""
+    f_domain, f_range, f_offset = f
+    g_domain, g_range, g_offset = g
+    mid = forest_merge(g_range, f_domain)
+    # g's domain grows, leaf by leaf, what mid grows on g's range ...
+    shapes = forest_shapes(g_range, mid)
+    g_domain = forest_graft(g_domain, shapes[g_offset:] + shapes[:g_offset])
+    g_offset = sum(map(_tree_leaf_count, shapes[:g_offset]))
+    # ... and f's range what mid grows on f's domain
+    shapes = forest_shapes(f_domain, mid)
+    back = len(shapes) - f_offset
+    shapes = shapes[back:] + shapes[:back]
+    f_range = forest_graft(f_range, shapes)
+    f_offset = sum(map(_tree_leaf_count, shapes[:f_offset]))
+    return pair_reduce(g_domain, f_range, (g_offset + f_offset) % forest_leaf_count(mid))
 
 
 # -- wire format -------------------------------------------------------------
@@ -336,39 +405,48 @@ def _collapse_tree(tree, start):
 def _format_tree(tree) -> str:
     if tree is LEAF:
         return "."
-    return "(" + ",".join(_format_tree(child) for child in tree) + ")"
+    return "(" + ",".join(map(_format_tree, tree)) + ")"
 
 
-def _parse_tree(text: str, pos: int):
+def format_forest(forest) -> str:
+    return ",".join(map(_format_tree, forest))
+
+
+def _parse_tree(text: str, pos: int, arity: int):
     if pos >= len(text):
-        raise ParseError("unexpected end of diagram text")
+        raise ParseError("unexpected end of forest text")
     if text[pos] == ".":
         return LEAF, pos + 1
     if text[pos] != "(":
         raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
     pos += 1
     children = []
-    for i in range(3):
-        child, pos = _parse_tree(text, pos)
+    for i in range(arity):
+        child, pos = _parse_tree(text, pos, arity)
         children.append(child)
-        expected = "," if i < 2 else ")"
+        expected = "," if i < arity - 1 else ")"
         if pos >= len(text) or text[pos] != expected:
             raise ParseError(f"expected {expected!r} at {pos}")
         pos += 1
     return tuple(children), pos
 
 
-def parse_diagram(text: str) -> ArcDiagram:
+def parse_forest(text: str, trees: int, arity: int):
+    """Read `trees` comma-separated trees of the given arity ('.' is a leaf)."""
     text = text.replace(" ", "")
-    trees = []
+    forest = []
     pos = 0
-    for i in range(4):
-        tree, pos = _parse_tree(text, pos)
-        trees.append(tree)
-        if i < 3:
+    for i in range(trees):
+        if i:
             if pos >= len(text) or text[pos] != ",":
                 raise ParseError(f"expected ',' between trees at {pos}")
             pos += 1
+        tree, pos = _parse_tree(text, pos, arity)
+        forest.append(tree)
     if pos != len(text):
         raise ParseError(f"trailing characters at {pos}")
-    return ArcDiagram(trees)
+    return tuple(forest)
+
+
+def parse_diagram(text: str) -> ArcDiagram:
+    return ArcDiagram(parse_forest(text, 4, 3))

@@ -12,17 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .circle import Angle, PLCircleMap, pl_eval
-from .diagram import (
-    ArcDiagram,
-    base_diagram,
-    collapse_at,
-    common_refinement,
-    graft,
-    parse_diagram,
-    sibling_triples,
-    subtree_shapes,
-    _tree_leaf_count,
-)
+from .diagram import ArcDiagram, base_diagram, pair_compose, pair_reduce, parse_diagram
 from .errors import ArcMismatch, LeafCountMismatch, NotAnArc, ParseError
 from .lamination import (
     Arc,
@@ -130,24 +120,11 @@ def inverse(e: Element) -> Element:
 
 
 def reduce(e: Element) -> Element:
-    """Cancel matching sibling triples until none remain."""
-    while True:
-        m = e.leaf_count()
-        range_starts = set(sibling_triples(e.range))
-        hit = None
-        for s in sibling_triples(e.domain):
-            t = (s + e.offset) % m
-            if t <= m - 3 and t in range_starts:
-                hit = (s, t)
-                break
-        if hit is None:
-            return e
-        s, t = hit
-        e = Element(
-            collapse_at(e.domain, s),
-            collapse_at(e.range, t),
-            (t - s) % (m - 2),
-        )
+    """Cancel matching carets until none remain."""
+    domain, range_, offset = pair_reduce(e.domain.forest, e.range.forest, e.offset)
+    if domain is e.domain.forest:
+        return e
+    return Element(ArcDiagram(domain), ArcDiagram(range_), offset)
 
 
 def equal(a: Element, b: Element) -> bool:
@@ -162,30 +139,13 @@ def expand_pair(e: Element, i: int) -> Element:
     return Element(e.domain.expand_at(i), e.range.expand_at(t), offset)
 
 
-def _expanded_to_range(e: Element, fine: ArcDiagram) -> Element:
-    """Rewrite e so that its range diagram becomes the refinement `fine`."""
-    shapes = subtree_shapes(e.range, fine)
-    m = e.leaf_count()
-    dom_shapes = [shapes[(i + e.offset) % m] for i in range(m)]
-    offset = sum(_tree_leaf_count(shapes[j]) for j in range(e.offset))
-    return Element(graft(e.domain, dom_shapes), fine, offset)
-
-
-def _expanded_to_domain(e: Element, fine: ArcDiagram) -> Element:
-    shapes = subtree_shapes(e.domain, fine)
-    m = e.leaf_count()
-    ran_shapes = [shapes[(j - e.offset) % m] for j in range(m)]
-    offset = sum(_tree_leaf_count(ran_shapes[j]) for j in range(e.offset))
-    return Element(fine, graft(e.range, ran_shapes), offset)
-
-
 def compose(f: Element, g: Element) -> Element:
     """f after g.  The result is reduced."""
-    mid = common_refinement(g.range, f.domain)
-    g2 = _expanded_to_range(g, mid)
-    f2 = _expanded_to_domain(f, mid)
-    m = mid.leaf_count()
-    return reduce(Element(g2.domain, f2.range, (g2.offset + f2.offset) % m))
+    domain, range_, offset = pair_compose(
+        (f.domain.forest, f.range.forest, f.offset),
+        (g.domain.forest, g.range.forest, g.offset),
+    )
+    return Element(ArcDiagram(domain), ArcDiagram(range_), offset)
 
 
 def evaluate(e: Element, point: Angle | Fraction) -> Angle:

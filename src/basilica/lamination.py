@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .circle import Angle, Frac, mod1
+from .circle import Angle, mod1
 from .errors import NotAnArc, NotCentral, ParseError
 
 

@@ -12,19 +12,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .circle import PLCircleMap, mod1
-from .diagram import minimal_diagram_containing
+from .diagram import (
+    LEAF,
+    forest_carets,
+    forest_collapse,
+    forest_leaf_count,
+    format_forest,
+    minimal_diagram_containing,
+    pair_compose,
+    pair_reduce,
+    parse_forest,
+)
 from .element import Element, image_of_arc, is_in_rist, is_in_stab, make, reduce
 from .errors import NotInRist, NotInStab, ParseError
 from .lamination import arc_for_label, central_label, is_central
 
-LEAF = None
 HALVES = (Fraction(0), Fraction(1, 2), Fraction(1))
-
-
-def _leaf_count(tree) -> int:
-    if tree is LEAF:
-        return 1
-    return _leaf_count(tree[0]) + _leaf_count(tree[1])
 
 
 def _leaf_intervals(tree, lo: Fraction, hi: Fraction, out):
@@ -46,15 +49,15 @@ class TreePair:
         range_ = tuple(range_)
         if len(domain) != 2 or len(range_) != 2:
             raise ValueError("each side needs one tree per half")
-        m = sum(_leaf_count(t) for t in domain)
-        if sum(_leaf_count(t) for t in range_) != m:
+        m = forest_leaf_count(domain)
+        if forest_leaf_count(range_) != m:
             raise ValueError("leaf counts differ")
         self.domain = domain
         self.range = range_
         self.offset = offset % m
 
     def leaf_count(self) -> int:
-        return sum(_leaf_count(t) for t in self.domain)
+        return forest_leaf_count(self.domain)
 
     def domain_intervals(self):
         out: list = []
@@ -81,9 +84,7 @@ class TreePair:
         return hash((self.domain, self.range, self.offset))
 
     def __str__(self) -> str:
-        d = ",".join(_format_btree(t) for t in self.domain)
-        r = ",".join(_format_btree(t) for t in self.range)
-        return f"[{d} ; {r} ; {self.offset}]"
+        return f"[{format_forest(self.domain)} ; {format_forest(self.range)} ; {self.offset}]"
 
     def __repr__(self) -> str:
         return f"TreePair({self})"
@@ -110,130 +111,19 @@ def tp_inverse(t: TreePair) -> TreePair:
     return TreePair(t.range, t.domain, -t.offset)
 
 
-def _carets(forest) -> list[int]:
-    """Leaf positions where an internal node has two leaf children."""
-    out: list[int] = []
-    start = 0
-    for tree in forest:
-        _scan_carets(tree, start, out)
-        start += _leaf_count(tree)
-    return out
-
-
-def _scan_carets(tree, start, out):
-    if tree is LEAF:
-        return
-    if tree[0] is LEAF and tree[1] is LEAF:
-        out.append(start)
-        return
-    _scan_carets(tree[0], start, out)
-    _scan_carets(tree[1], start + _leaf_count(tree[0]), out)
-
-
-def _collapse_forest(forest, start):
-    forest = list(forest)
-    for i, tree in enumerate(forest):
-        n = _leaf_count(tree)
-        if start < n:
-            forest[i] = _collapse_btree(tree, start)
-            return tuple(forest)
-        start -= n
-    raise IndexError("collapse position out of range")
-
-
-def _collapse_btree(tree, start):
-    if tree is LEAF:
-        raise ValueError("no caret at position")
-    if tree[0] is LEAF and tree[1] is LEAF:
-        if start != 0:
-            raise ValueError("position does not start the caret")
-        return LEAF
-    n0 = _leaf_count(tree[0])
-    if start < n0:
-        return (_collapse_btree(tree[0], start), tree[1])
-    return (tree[0], _collapse_btree(tree[1], start - n0))
-
-
 def tp_reduce(t: TreePair) -> TreePair:
-    while True:
-        m = t.leaf_count()
-        range_starts = set(_carets(t.range))
-        hit = None
-        for s in _carets(t.domain):
-            u = (s + t.offset) % m
-            if u <= m - 2 and u in range_starts:
-                hit = (s, u)
-                break
-        if hit is None:
-            return t
-        s, u = hit
-        t = TreePair(
-            _collapse_forest(t.domain, s),
-            _collapse_forest(t.range, u),
-            (u - s) % (m - 1),
-        )
+    return TreePair(*pair_reduce(t.domain, t.range, t.offset))
 
 
 def tp_equal(a: TreePair, b: TreePair) -> bool:
     return tp_reduce(a) == tp_reduce(b)
 
 
-def _merge_btrees(s, t):
-    if s is LEAF:
-        return t
-    if t is LEAF:
-        return s
-    return (_merge_btrees(s[0], t[0]), _merge_btrees(s[1], t[1]))
-
-
-def _shapes(coarse, fine, out):
-    if coarse is LEAF:
-        out.append(fine)
-        return
-    if fine is LEAF:
-        raise ValueError("forest does not refine the coarse one")
-    _shapes(coarse[0], fine[0], out)
-    _shapes(coarse[1], fine[1], out)
-
-
-def _graft_forest(forest, shapes):
-    it = iter(shapes)
-    return tuple(_graft_btree(tree, it) for tree in forest)
-
-
-def _graft_btree(tree, it):
-    if tree is LEAF:
-        return next(it)
-    return (_graft_btree(tree[0], it), _graft_btree(tree[1], it))
-
-
-def _expanded_to_range(t: TreePair, fine) -> TreePair:
-    shapes: list = []
-    for c, f in zip(t.range, fine):
-        _shapes(c, f, shapes)
-    m = t.leaf_count()
-    dom_shapes = [shapes[(i + t.offset) % m] for i in range(m)]
-    offset = sum(_leaf_count(shapes[j]) for j in range(t.offset))
-    return TreePair(_graft_forest(t.domain, dom_shapes), fine, offset)
-
-
-def _expanded_to_domain(t: TreePair, fine) -> TreePair:
-    shapes: list = []
-    for c, f in zip(t.domain, fine):
-        _shapes(c, f, shapes)
-    m = t.leaf_count()
-    ran_shapes = [shapes[(j - t.offset) % m] for j in range(m)]
-    offset = sum(_leaf_count(ran_shapes[j]) for j in range(t.offset))
-    return TreePair(fine, _graft_forest(t.range, ran_shapes), offset)
-
-
 def tp_compose(s: TreePair, t: TreePair) -> TreePair:
     """s after t.  The result is reduced."""
-    mid = tuple(_merge_btrees(a, b) for a, b in zip(t.range, s.domain))
-    t2 = _expanded_to_range(t, mid)
-    s2 = _expanded_to_domain(s, mid)
-    m = sum(_leaf_count(x) for x in mid)
-    return tp_reduce(TreePair(t2.domain, s2.range, (t2.offset + s2.offset) % m))
+    return TreePair(
+        *pair_compose((s.domain, s.range, s.offset), (t.domain, t.range, t.offset))
+    )
 
 
 # -- dyadic cut sets ---------------------------------------------------------
@@ -364,7 +254,7 @@ def word_to_tp(word) -> TreePair:
     return out
 
 
-def _invert_word(word):
+def invert_word(word) -> list[str]:
     return [
         letter[:-1] if letter.endswith("'") else letter + "'"
         for letter in reversed(word)
@@ -402,10 +292,10 @@ def _is_vine(forest) -> bool:
 def _positive_factorization(forest):
     """Indices i with (vine, forest) = x_{i1} ... x_{ik} in Thompson's F."""
     out = []
-    n = sum(_leaf_count(t) for t in forest)
+    n = forest_leaf_count(forest)
     while not _is_vine(forest):
-        s = next(c for c in _carets(forest) if c <= n - 3)
-        forest = _collapse_forest(forest, s)
+        s = next(c for c in forest_carets(forest) if c <= n - 3)
+        forest = forest_collapse(forest, s)
         n -= 1
         out.append(s)
     return list(reversed(out))
@@ -436,43 +326,11 @@ def factor_t(t: TreePair):
     tail: list = []
     for i in _positive_factorization(h.domain):
         tail.extend(_x_word(i))
-    word_h.extend(_invert_word(tail))
-    return _invert_word(transport) + word_h
+    word_h.extend(invert_word(tail))
+    return invert_word(transport) + word_h
 
 
 # -- wire format -------------------------------------------------------------
-
-def _format_btree(tree) -> str:
-    if tree is LEAF:
-        return "."
-    return "(" + _format_btree(tree[0]) + "," + _format_btree(tree[1]) + ")"
-
-
-def _parse_btree(text: str, pos: int):
-    if pos >= len(text):
-        raise ParseError("unexpected end of tree pair text")
-    if text[pos] == ".":
-        return LEAF, pos + 1
-    if text[pos] != "(":
-        raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
-    left, pos = _parse_btree(text, pos + 1)
-    if pos >= len(text) or text[pos] != ",":
-        raise ParseError(f"expected ',' at {pos}")
-    right, pos = _parse_btree(text, pos + 1)
-    if pos >= len(text) or text[pos] != ")":
-        raise ParseError(f"expected ')' at {pos}")
-    return (left, right), pos + 1
-
-
-def _parse_bforest(text: str):
-    first, pos = _parse_btree(text, 0)
-    if pos >= len(text) or text[pos] != ",":
-        raise ParseError(f"expected ',' between trees at {pos}")
-    second, pos = _parse_btree(text, pos + 1)
-    if pos != len(text):
-        raise ParseError(f"trailing characters at {pos}")
-    return (first, second)
-
 
 def parse_treepair(text: str) -> TreePair:
     body = text.replace(" ", "")
@@ -485,4 +343,7 @@ def parse_treepair(text: str) -> TreePair:
         offset = int(parts[2])
     except ValueError:
         raise ParseError(parts[2])
-    return TreePair(_parse_bforest(parts[0]), _parse_bforest(parts[1]), offset)
+    try:
+        return TreePair(parse_forest(parts[0], 2, 2), parse_forest(parts[1], 2, 2), offset)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

@@ -38,6 +38,7 @@ from .thompson import (
     TreePair,
     factor_t,
     forest_from_cuts,
+    invert_word,
     t_transporter,
     tau_inverse,
     boundary_action,
@@ -57,13 +58,6 @@ def parse_word(text: str) -> list[str]:
 
 def format_word(word) -> str:
     return " ".join(word)
-
-
-def invert_word(word) -> list[str]:
-    return [
-        letter[:-1] if letter.endswith("'") else letter + "'"
-        for letter in reversed(word)
-    ]
 
 
 def free_reduce(word) -> list[str]:
@@ -140,7 +134,6 @@ def _splice_behind(e: Element, arc) -> Element:
         )
     pts = []
     for x in sorted(xs):
-        inside = far.contains(x, strict=True) or x == far.lo or x == far.hi
         y = pl.eval_fraction(x) if far.contains(x) else x
         pts.append((Angle(x), Angle(y)))
     return recognize(PLCircleMap(pts))

@@ -1,5 +1,6 @@
 import pathlib
 import random
+import shlex
 
 from basilica.cli import main
 from basilica.element import equal, generator, parse_element, reduce
@@ -8,6 +9,7 @@ from basilica.diagram import base_diagram
 from basilica.words import random_element
 
 DATA = pathlib.Path(__file__).parent / "data"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -72,6 +74,44 @@ def test_gap_and_abelianize(capsys):
     code, img = run(capsys, "gap", "--gap", "central", "--word", "a")
     assert (code, img) == (0, "behind {1/6,5/6}")
     assert run(capsys, "gap", "--gap", "behind {1/6,1/3}")[0] == 2
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_malformed_input_exits_one(capsys):
+    for argv in [
+        ["recognize", "--pl", "1/6:1/6,1/6:1/3"],
+        ["tau", "--treepair", "[.,.;(.,.),.;0]", "--inverse"],
+        ["random", "--seed", "1", "--length", "-3"],
+        ["tau"],
+        ["render"],
+        ["reduce", "--bogus", "x"],
+    ]:
+        assert exit_code(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err and "Traceback" not in err, argv
+
+
+def test_readme_cli_block(tmp_path, monkeypatch, capsys):
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("tb ")]
+    assert len(lines) == 14
+    monkeypatch.chdir(tmp_path)  # render --out writes its file here
+    for line in lines:
+        comment = line.partition("#")[2].strip()
+        code = exit_code(shlex.split(line, comments=True)[1:])
+        out = capsys.readouterr().out.strip()
+        if comment.startswith("exit 2: "):
+            assert (code, out) == (2, comment[len("exit 2: "):]), line
+        else:
+            assert code == 0, line
+            if comment.startswith("-> "):
+                assert out == comment[len("-> "):], line
 
 
 def test_golden_random_element(capsys):

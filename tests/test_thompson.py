@@ -6,6 +6,7 @@ import pytest
 from basilica.element import compose, equal, generator, identity, inverse, reduce
 from basilica.errors import NotInRist, NotInStab
 from basilica.thompson import (
+    TreePair,
     boundary_action,
     factor_t,
     parse_treepair,
@@ -132,6 +133,41 @@ def test_factor_t_roundtrip():
         word = factor_t(t)
         assert tp_equal(word_to_tp(word), t)
     assert factor_t(tp_identity()) == []
+
+
+def expand_leaf(forest, i):
+    """The forest with its leaf i replaced by a caret."""
+    seen = []
+
+    def walk(tree):
+        if tree is not None:
+            return tuple(map(walk, tree))
+        seen.append(tree)
+        return (None, None) if len(seen) == i + 1 else None
+
+    return tuple(map(walk, forest))
+
+
+def test_expand_treepair_preserves_map():
+    rng = random.Random(50)
+    wrapped = 0
+    for _ in range(40):
+        t = tp_reduce(random_treepair(rng, rng.randrange(1, 6)))
+        blown = t
+        for _ in range(rng.randrange(1, 5)):
+            m, offset = blown.leaf_count(), blown.offset
+            i = rng.randrange(m)
+            u = (i + offset) % m
+            wrapped += i + offset >= m
+            blown = TreePair(
+                expand_leaf(blown.domain, i),
+                expand_leaf(blown.range, u),
+                offset + (u < offset),
+            )
+        assert blown.leaf_count() > t.leaf_count()
+        assert tp_to_pl(blown) == tp_to_pl(t)
+        assert tp_reduce(blown) == t
+    assert wrapped
 
 
 def test_treepair_to_pl_is_faithful():
