@@ -79,15 +79,6 @@ def parse_angle(text: str) -> Angle:
         raise ParseError(f"bad angle {text!r}") from exc
 
 
-def cyclic_between(a: Angle, b: Angle, c: Angle) -> bool:
-    """True iff b lies in the open counterclockwise interval from a to c."""
-    if a == c:
-        return False
-    if a.f < c.f:
-        return a.f < b.f < c.f
-    return b.f > a.f or b.f < c.f
-
-
 class PLCircleMap:
     """Orientation-preserving degree-one PL circle map, exact breakpoints.
 
@@ -141,9 +132,6 @@ class PLCircleMap:
             (xs[i], xs[i + 1], ys[i], (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]))
             for i in range(len(xs) - 1)
         ]
-
-    def is_identity(self) -> bool:
-        return len(self.breakpoints) == 1 and self.breakpoints[0][0] == self.breakpoints[0][1]
 
     def is_rotation(self) -> bool:
         return len(self.breakpoints) == 1
@@ -227,10 +215,6 @@ def _prune(pts):
 def rotation(amount) -> PLCircleMap:
     """Rotation by the given grid amount, stored with its synthetic breakpoint."""
     return PLCircleMap([(Fraction(0), _frac(amount))])
-
-
-def identity_map() -> PLCircleMap:
-    return rotation(Fraction(0))
 
 
 def pl_eval(f: PLCircleMap, t: Angle):

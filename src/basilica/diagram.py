@@ -22,6 +22,7 @@ from .lamination import (
     BASE_ARC_ZERO,
     StandardInterval,
     base_intervals,
+    defining_path,
     primary_arc,
     subdivide,
 )
@@ -193,42 +194,14 @@ def minimal_diagram_containing(arcs) -> ArcDiagram:
     for arc in arcs:
         if arc in (BASE_ARC_HALF, BASE_ARC_ZERO):
             continue
-        interval = _find_defining_interval(arc)
-        base_idx, path = interval.depth_path[0], interval.depth_path[1:]
+        base_idx, path = defining_path(arc)
         forest[base_idx] = _ensure_internal(forest[base_idx], path)
     return ArcDiagram(forest)
-
-
-def _find_defining_interval(arc: Arc) -> StandardInterval:
-    """The standard interval whose primary arc is the given arc."""
-    a, b = arc.endpoints
-    for base in base_intervals():
-        if primary_arc(base).endpoints == arc.endpoints:
-            return base
-    interval = None
-    for base in base_intervals():
-        if base.contains(a.f, strict=True) and base.contains(b.f, strict=True):
-            interval = base
-            break
-    if interval is None:
-        raise ValueError(f"{arc} has no defining interval")
-    while primary_arc(interval).endpoints != arc.endpoints:
-        for child in subdivide(interval):
-            if child.contains(a.f, strict=True) and child.contains(b.f, strict=True):
-                interval = child
-                break
-        else:
-            raise ValueError(f"{arc} has no defining interval")
-    return interval
 
 
 def common_refinement(d1: ArcDiagram, d2: ArcDiagram) -> ArcDiagram:
     """Minimal diagram containing the arcs of both (node-wise forest union)."""
     return ArcDiagram(forest_merge(d1.forest, d2.forest))
-
-
-def refines(coarse: ArcDiagram, fine: ArcDiagram) -> bool:
-    return common_refinement(coarse, fine) == fine
 
 
 def subtree_shapes(coarse: ArcDiagram, fine: ArcDiagram) -> list:

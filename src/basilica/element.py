@@ -18,7 +18,7 @@ from .lamination import (
     Arc,
     BASE_ARC_HALF,
     GapId,
-    arc_check,
+    arc_from_endpoints,
     is_central,
     neighbor_gap,
 )
@@ -157,7 +157,7 @@ def image_of_arc(e: Element, arc: Arc) -> Arc:
     pl = e.to_pl()
     a, b = sorted(arc.endpoints)
     try:
-        return arc_check(pl(a), pl(b))
+        return arc_from_endpoints(pl(a), pl(b))
     except NotAnArc:
         raise ArcMismatch(arc)
 

@@ -2,8 +2,10 @@
 
 Arcs (leaves) are generated from the base pair {1/3,2/3}, {1/6,5/6} by
 repeated 1:2:1 subdivision of standard intervals; each non-base arc is the
-primary arc of exactly one standard interval.  Gaps are the complementary
-regions: the central gap plus one gap behind each arc.
+primary arc of exactly one standard interval.  An arc is stored by its
+canonical index (level n, index k), and nesting, central labels and
+defining intervals are integer arithmetic on (n, k).  Gaps are the
+complementary regions: the central gap plus one gap behind each arc.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from .errors import NotAnArc, NotCentral, ParseError
 class StandardInterval:
     """Half-open ccw circle interval reachable by 1:2:1 subdivision.
 
-    ``lo`` is normalized into [0,1); ``length`` is 1/(3*2^n).  The descent
-    path records the base interval index and the child choices taken.
+    ``lo`` is normalized into [0,1); ``length`` is 1/(3*2^n).
     """
 
     lo: Fraction
     length: Fraction
-    depth_path: tuple = ()
 
     @property
     def hi(self) -> Fraction:
@@ -52,7 +52,9 @@ class Arc:
     """A leaf of the lamination, canonically indexed by (level, index).
 
     Endpoints are {(3k-1)/(3*2^n), (3k+1)/(3*2^n)}.  The index k is even
-    mod 2^n except for the special arc {1/3,2/3} = (n=1, k=1).
+    mod 2^n except for the special arc {1/3,2/3} = (n=1, k=1).  In units
+    of 1/(3*2^n) the farside is [3k-1, 3k+1] and the interval the arc
+    subdivides 1:2:1 is [3k-2, 3k+2].
     """
 
     level: int
@@ -83,26 +85,20 @@ class Arc:
 
 
 def arc_from_endpoints(a: Angle, b: Angle) -> Arc:
-    """Cheap closed-form constructor; raises NotAnArc on malformed pairs.
-
-    Agrees with arc_check on all inputs (oracle-tested); used internally
-    where the pair is already known to come from the lamination.
-    """
+    """The arc with endpoints {a,b}; raises NotAnArc on any other pair."""
     if {a, b} == {Angle(Fraction(1, 3)), Angle(Fraction(2, 3))}:
         return Arc(1, 1)
     d = a.denominator
-    if d != b.denominator or d % 6 != 0:
-        raise NotAnArc(f"endpoints {a},{b} not on a common 3*2^n grid", (a, b))
     n = (d // 3).bit_length() - 1
-    if 3 * 2 ** n != d:
-        raise NotAnArc(f"denominator {d} is not of the form 3*2^n", (a, b))
-    for lo, hi in ((a, b), (b, a)):
-        num = lo.numerator
-        if (num + 1) % 3 == 0 and mod1(hi.f - lo.f) == Fraction(2, d):
-            k = ((num + 1) // 3) % 2 ** n
-            if k % 2 == 0:
-                return Arc(n, k)
-    raise NotAnArc(f"{{{a},{b}}} is not in the arc family", (a, b))
+    if d == b.denominator and n >= 1 and d == 3 * 2 ** n:
+        for lo, hi in ((a, b), (b, a)):
+            num = lo.numerator
+            if (num + 1) % 3 == 0 and (hi.numerator - num) % d == 2:
+                k = ((num + 1) // 3) % 2 ** n
+                if k % 2 == 0:
+                    return Arc(n, k)
+    witness = f"{{{a},{b}}}"
+    raise NotAnArc(f"{witness} is not in the arc family", witness)
 
 
 # -- base subdivision ------------------------------------------------------
@@ -115,10 +111,10 @@ BASE_ARC_ZERO = Arc(1, 0)   # {1/6, 5/6}
 def base_intervals() -> tuple[StandardInterval, ...]:
     """The four intervals cut by the two base arcs, ccw from [1/6,1/3]."""
     return (
-        StandardInterval(Fraction(1, 6), Fraction(1, 6), (0,)),
-        StandardInterval(Fraction(1, 3), Fraction(1, 3), (1,)),
-        StandardInterval(Fraction(2, 3), Fraction(1, 6), (2,)),
-        StandardInterval(Fraction(5, 6), Fraction(1, 3), (3,)),
+        StandardInterval(Fraction(1, 6), Fraction(1, 6)),
+        StandardInterval(Fraction(1, 3), Fraction(1, 3)),
+        StandardInterval(Fraction(2, 3), Fraction(1, 6)),
+        StandardInterval(Fraction(5, 6), Fraction(1, 3)),
     )
 
 
@@ -135,12 +131,36 @@ def primary_arc(interval: StandardInterval) -> Arc:
 def subdivide(interval: StandardInterval) -> tuple[StandardInterval, ...]:
     """The three standard subintervals (quarter, half, quarter), ccw."""
     quarter = interval.length / 4
-    lo, path = interval.lo, interval.depth_path
+    lo = interval.lo
     return (
-        StandardInterval(mod1(lo), quarter, path + (0,)),
-        StandardInterval(mod1(lo + quarter), 2 * quarter, path + (1,)),
-        StandardInterval(mod1(lo + 3 * quarter), quarter, path + (2,)),
+        StandardInterval(mod1(lo), quarter),
+        StandardInterval(mod1(lo + quarter), 2 * quarter),
+        StandardInterval(mod1(lo + 3 * quarter), quarter),
     )
+
+
+def defining_path(arc: Arc) -> tuple[int, tuple[int, ...]]:
+    """The base interval index and the child choices that reach the
+    interval the arc subdivides; the arc must not be a base arc.
+
+    In units of 1/(3*2^n) the base intervals start at 2^(n-1), 2^n,
+    2^(n+1), 5*2^(n-1).  Interval ends are never multiples of 3, so the
+    descent follows the arc's midpoint 3k down to its length-4 interval.
+    """
+    n, mid = arc.level, 3 * arc.index
+    h = 2 ** (n - 1)
+    for base, (lo, length) in enumerate(((h, h), (2 * h, 2 * h), (4 * h, h), (5 * h, 2 * h))):
+        off = (mid - lo) % (6 * h)
+        if off < length:
+            break
+    path = []
+    while length > 4:
+        q = length // 4
+        child = 0 if off < q else 1 if off < 3 * q else 2
+        off -= (0, q, 3 * q)[child]
+        length = (q, 2 * q, q)[child]
+        path.append(child)
+    return base, tuple(path)
 
 
 def is_standard(lo: Fraction, hi: Fraction) -> bool:
@@ -159,56 +179,6 @@ def is_standard(lo: Fraction, hi: Fraction) -> bool:
     return num2.denominator == 1 and num2.numerator % 3 == 2  # [(3k-1)/(3*2^(n+1)), ...]
 
 
-# -- descent ---------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _descend(a: Angle, b: Angle):
-    """Run the generation descent toward the pair {a,b}.
-
-    Returns (arc, ancestors) on acceptance; raises NotAnArc with the failing
-    step otherwise.  Ancestors are ordered outermost first.
-    """
-    if a == b:
-        raise NotAnArc("degenerate pair", (a, b))
-    pair = {a, b}
-    if pair == BASE_ARC_HALF.endpoints:
-        return BASE_ARC_HALF, ()
-    if pair == BASE_ARC_ZERO.endpoints:
-        return BASE_ARC_ZERO, ()
-    interval = None
-    ancestors: list[Arc] = []
-    for idx, base in enumerate(base_intervals()):
-        if base.contains(a.f, strict=True) and base.contains(b.f, strict=True):
-            interval = base
-            if idx == 1:
-                ancestors.append(BASE_ARC_HALF)
-            elif idx == 3:
-                ancestors.append(BASE_ARC_ZERO)
-            break
-    if interval is None:
-        raise NotAnArc(f"{{{a},{b}}} straddles the base subdivision", (a, b))
-    while True:
-        arc = primary_arc(interval)
-        if pair == arc.endpoints:
-            return arc, tuple(ancestors)
-        children = subdivide(interval)
-        inside = [
-            child
-            for child in children
-            if child.contains(a.f, strict=True) and child.contains(b.f, strict=True)
-        ]
-        if not inside:
-            raise NotAnArc(f"{{{a},{b}}} straddles the subdivision of {interval}", (a, b))
-        if inside[0] is children[1]:
-            ancestors.append(arc)
-        interval = inside[0]
-
-
-def arc_check(a: Angle, b: Angle) -> Arc:
-    """Validate that {a,b} is a lamination leaf, by descent."""
-    return _descend(a, b)[0]
-
-
 def double_arc(arc: Arc) -> Arc:
     """Image of the arc under doubling; the family is invariant."""
     a, b = arc.endpoints
@@ -220,9 +190,22 @@ def farside(arc: Arc) -> StandardInterval:
 
 
 def ancestors(arc: Arc) -> list[Arc]:
-    """All arcs whose farside contains this arc's farside, outermost first."""
-    a, b = arc.endpoints
-    return list(_descend(a, b)[1])
+    """All arcs whose farside contains this arc's farside, outermost first.
+
+    An ancestor at level m < n is the arc j nearest to k/2^(n-m), if j is
+    in the family and its farside [(3j-1)s, (3j+1)s] (s = 2^(n-m), in
+    units of 1/(3*2^n)) contains [3k-1, 3k+1].
+    """
+    n, k = arc.level, arc.index
+    out = []
+    for m in range(1, n):
+        s = 2 ** (n - m)
+        j = (2 * k + s) // (2 * s) % 2 ** m
+        if (j % 2 == 0 or (m, j) == (1, 1)) and (
+            (3 * k - 1 - (3 * j - 1) * s) % (3 * 2 ** n) + 2 <= 2 * s
+        ):
+            out.append(Arc(m, j))
+    return out
 
 
 def is_central(arc: Arc) -> bool:
@@ -230,58 +213,42 @@ def is_central(arc: Arc) -> bool:
 
 
 # -- dyadic labels of central arcs ----------------------------------------
+#
+# Label 0 is {1/6,5/6} = (1,0).  The label 0.b1...br (binary, br = 1) is
+# the arc of level 2r-1 whose index bits read b1, then (bi, not bi) for
+# i = 2..r: 1/2 = (1, 1), 1/4 = (3, 0b010), 3/8 = (5, 0b01010).
 
 def central_label(arc: Arc) -> Fraction:
     """The dyadic label of a central arc; anchored at 0 for {1/6,5/6}."""
-    if arc == BASE_ARC_ZERO:
+    n, k = arc.level, arc.index
+    if (n, k) == (1, 0):
         return Fraction(0)
-    if arc == BASE_ARC_HALF:
-        return Fraction(1, 2)
-    a, b = sorted(arc.endpoints)
-    for interval, (d1, d2) in (
-        (base_intervals()[0], (Fraction(0), Fraction(1, 2))),
-        (base_intervals()[2], (Fraction(1, 2), Fraction(1))),
-    ):
-        if interval.contains(a.f, strict=True) and interval.contains(b.f, strict=True):
-            break
-    else:
-        raise NotCentral(f"{arc} is not a central arc", arc)
-    pair = arc.endpoints
-    while True:
-        mid = (d1 + d2) / 2
-        if pair == primary_arc(interval).endpoints:
-            return mid
-        left, middle, right = subdivide(interval)
-        if all(left.contains(t.f, strict=True) for t in pair):
-            interval, d2 = left, mid
-        elif all(right.contains(t.f, strict=True) for t in pair):
-            interval, d1 = right, mid
-        else:
+    p = k >> (n - 1)
+    for i in range(n - 3, -1, -2):
+        pair = (k >> i) & 3
+        if pair not in (1, 2):
             raise NotCentral(f"{arc} is not a central arc", arc)
+        p = 2 * p + (pair >> 1)
+    if n % 2 == 0 or p % 2 == 0:
+        raise NotCentral(f"{arc} is not a central arc", arc)
+    return Fraction(p, 2 ** ((n + 1) // 2))
 
 
 def arc_for_label(label: Fraction) -> Arc:
-    """Inverse of central_label, by binary descent over the label intervals."""
-    label = mod1(Fraction(label))
-    if label.denominator & (label.denominator - 1):
+    """Inverse of central_label."""
+    label = Fraction(label)
+    d = label.denominator
+    if d & (d - 1):
         raise NotCentral(f"label {label} is not dyadic", label)
-    if label == 0:
+    p = label.numerator % d
+    if p == 0:
         return BASE_ARC_ZERO
-    if label == Fraction(1, 2):
-        return BASE_ARC_HALF
-    if label < Fraction(1, 2):
-        interval, d1, d2 = base_intervals()[0], Fraction(0), Fraction(1, 2)
-    else:
-        interval, d1, d2 = base_intervals()[2], Fraction(1, 2), Fraction(1)
-    while True:
-        mid = (d1 + d2) / 2
-        if label == mid:
-            return primary_arc(interval)
-        left, _, right = subdivide(interval)
-        if label < mid:
-            interval, d2 = left, mid
-        else:
-            interval, d1 = right, mid
+    r = d.bit_length() - 1
+    k = p >> (r - 1)
+    for i in range(r - 2, -1, -1):
+        bit = (p >> i) & 1
+        k = 4 * k + 2 * bit + 1 - bit
+    return Arc(2 * r - 1, k)
 
 
 # -- gaps ------------------------------------------------------------------
@@ -339,7 +306,7 @@ def parse_arc(text: str) -> Arc:
     parts = text[1:-1].split(",")
     if len(parts) != 2:
         raise ParseError(f"bad arc syntax {text!r}")
-    return arc_check(parse_angle(parts[0]), parse_angle(parts[1]))
+    return arc_from_endpoints(parse_angle(parts[0]), parse_angle(parts[1]))
 
 
 def parse_gap(text: str) -> GapId:

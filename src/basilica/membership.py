@@ -142,7 +142,3 @@ def _endpoint_partner_arc(x: Fraction):
     else:
         raise NotAnArc(f"{x} is not an arc endpoint", x)
     return arc_from_endpoints(Angle(x), Angle(mod1(partner)))
-
-
-def roundtrip(e: Element) -> Element:
-    return recognize(e.to_pl())

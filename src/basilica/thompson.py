@@ -30,15 +30,6 @@ from .lamination import arc_for_label, central_label, is_central
 HALVES = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
-def _leaf_intervals(tree, lo: Fraction, hi: Fraction, out):
-    if tree is LEAF:
-        out.append((lo, hi))
-        return
-    mid = (lo + hi) / 2
-    _leaf_intervals(tree[0], lo, mid, out)
-    _leaf_intervals(tree[1], mid, hi, out)
-
-
 class TreePair:
     """A pair of dyadic subdivisions of the circle with a leaf offset."""
 
@@ -58,18 +49,6 @@ class TreePair:
 
     def leaf_count(self) -> int:
         return forest_leaf_count(self.domain)
-
-    def domain_intervals(self):
-        out: list = []
-        for tree, lo, hi in zip(self.domain, HALVES, HALVES[1:]):
-            _leaf_intervals(tree, lo, hi, out)
-        return out
-
-    def range_intervals(self):
-        out: list = []
-        for tree, lo, hi in zip(self.range, HALVES, HALVES[1:]):
-            _leaf_intervals(tree, lo, hi, out)
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TreePair):
@@ -95,12 +74,10 @@ def tp_identity() -> TreePair:
 
 
 def tp_to_pl(t: TreePair) -> PLCircleMap:
-    dom = t.domain_intervals()
-    ran = t.range_intervals()
+    dom = forest_cuts(t.domain)
+    ran = forest_cuts(t.range)
     m = len(dom)
-    return PLCircleMap(
-        [(dom[i][0], ran[(i + t.offset) % m][0]) for i in range(m)]
-    )
+    return PLCircleMap([(dom[i], ran[(i + t.offset) % m]) for i in range(m)])
 
 
 def tp_eval(t: TreePair, x: Fraction) -> Fraction:
@@ -151,6 +128,23 @@ def forest_from_cuts(cuts) -> tuple:
     )
 
 
+def _tree_cuts(tree, lo: Fraction, hi: Fraction, out):
+    if tree is LEAF:
+        out.append(lo)
+        return
+    mid = (lo + hi) / 2
+    _tree_cuts(tree[0], lo, mid, out)
+    _tree_cuts(tree[1], mid, hi, out)
+
+
+def forest_cuts(forest) -> list:
+    """Left ends of the leaves, in order; the inverse of forest_from_cuts."""
+    out: list = []
+    for tree, lo, hi in zip(forest, HALVES, HALVES[1:]):
+        _tree_cuts(tree, lo, hi, out)
+    return out
+
+
 def rotation_treepair(amount: Fraction) -> TreePair:
     """Rotation by a dyadic amount as a (non-reduced for amount!=0) tree pair."""
     amount = mod1(Fraction(amount))
@@ -199,8 +193,8 @@ def tau(e: Element) -> TreePair:
 def tau_inverse(t: TreePair) -> Element:
     """The rigid-stabilizer element with the given boundary tree pair."""
     t = tp_reduce(t)
-    dom_cuts = [lo for lo, _ in t.domain_intervals()]
-    ran_cuts = [lo for lo, _ in t.range_intervals()]
+    dom_cuts = forest_cuts(t.domain)
+    ran_cuts = forest_cuts(t.range)
     domain = minimal_diagram_containing([arc_for_label(c) for c in dom_cuts])
     range_ = minimal_diagram_containing([arc_for_label(c) for c in ran_cuts])
     target = ran_cuts[t.offset % len(ran_cuts)]

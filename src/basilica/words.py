@@ -97,10 +97,6 @@ def abelianize(e: Element) -> int:
     return gap_color(image_of_gap(e, GapId.central()))
 
 
-def is_in_commutator_subgroup(e: Element) -> bool:
-    return abelianize(e) == 0
-
-
 def _bgd_to_word(letters) -> list[str]:
     return [letter.lower() for letter in letters]
 

@@ -74,6 +74,9 @@ def test_gap_and_abelianize(capsys):
     code, img = run(capsys, "gap", "--gap", "central", "--word", "a")
     assert (code, img) == (0, "behind {1/6,5/6}")
     assert run(capsys, "gap", "--gap", "behind {1/6,1/3}")[0] == 2
+    assert run(capsys, "gap", "--gap", "behind {1/6,1/3}") == (
+        2, "REJECT NotAnArc {1/6,1/3}"
+    )
 
 
 def exit_code(argv):
@@ -120,12 +123,12 @@ def test_golden_random_element(capsys):
 
 
 def test_random_corpus_roundtrips():
-    from basilica.membership import roundtrip
+    from basilica.membership import recognize
 
     rng = random.Random(61)
     for _ in range(20):
         e = reduce(random_element(rng.randrange(10 ** 6), rng.randrange(9)))
-        assert roundtrip(e) == e
+        assert recognize(e.to_pl()) == e
 
 
 def test_render_base_diagram_counts():

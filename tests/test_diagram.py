@@ -11,7 +11,6 @@ from basilica.diagram import (
     graft,
     minimal_diagram_containing,
     parse_diagram,
-    refines,
     sibling_triples,
     subtree_shapes,
 )
@@ -20,14 +19,20 @@ from basilica.lamination import (
     BASE_ARC_HALF,
     BASE_ARC_ZERO,
     ancestors,
-    arc_check,
+    arc_from_endpoints,
     central_label,
     is_central,
 )
 
+from test_lamination import all_arcs
+
 
 def A(p, q):
     return Angle(Fraction(p, q))
+
+
+def refines(coarse, fine) -> bool:
+    return common_refinement(coarse, fine) == fine
 
 
 def random_diagram(rng, expansions):
@@ -59,7 +64,7 @@ def test_leaf_count_tracks_arc_count():
 
 def test_expand_adds_primary_arc():
     d = base_diagram().expand_at(1)
-    assert arc_check(A(5, 12), A(7, 12)) in d.arcs()
+    assert arc_from_endpoints(A(5, 12), A(7, 12)) in d.arcs()
     assert d.leaf_count() == 6
     with pytest.raises(IndexError):
         d.expand_at(6)
@@ -95,20 +100,29 @@ def test_central_adjacent_labels_are_arc_labels():
 
 
 def test_minimal_diagram_containing():
-    arc = arc_check(A(17, 96), A(19, 96))
+    arc = arc_from_endpoints(A(17, 96), A(19, 96))
     d = minimal_diagram_containing([arc])
     assert arc in d.arcs()
     # contains exactly the defining chain and nothing else
     assert d.arcs() == {
         BASE_ARC_HALF,
         BASE_ARC_ZERO,
-        arc_check(A(5, 24), A(7, 24)),
+        arc_from_endpoints(A(5, 24), A(7, 24)),
         arc,
     }
 
 
+def test_minimal_diagram_of_one_arc_has_one_caret():
+    for arc in all_arcs(8):
+        d = minimal_diagram_containing([arc])
+        assert arc in d.arcs()
+        # the base arcs sit in the base diagram, which has no caret
+        base = arc in (BASE_ARC_HALF, BASE_ARC_ZERO)
+        assert len(sibling_triples(d)) == (0 if base else 1)
+
+
 def test_minimal_diagram_includes_ancestors():
-    deep = arc_check(A(11, 24), A(13, 24))
+    deep = arc_from_endpoints(A(11, 24), A(13, 24))
     d = minimal_diagram_containing([deep])
     for anc in ancestors(deep):
         assert anc in d.arcs()

@@ -22,7 +22,7 @@ from basilica.element import (
     reduce,
 )
 from basilica.errors import ArcMismatch, LeafCountMismatch
-from basilica.lamination import GapId, arc_check, BASE_ARC_HALF, BASE_ARC_ZERO
+from basilica.lamination import GapId, arc_from_endpoints, BASE_ARC_HALF, BASE_ARC_ZERO
 
 
 def A(p, q):
@@ -126,8 +126,8 @@ def test_image_of_gap_respects_composition():
         GapId.central(),
         GapId.behind(BASE_ARC_HALF),
         GapId.behind(BASE_ARC_ZERO),
-        GapId.behind(arc_check(A(5, 12), A(7, 12))),
-        GapId.behind(arc_check(A(5, 24), A(7, 24))),
+        GapId.behind(arc_from_endpoints(A(5, 12), A(7, 12))),
+        GapId.behind(arc_from_endpoints(A(5, 24), A(7, 24))),
     ]
     for _ in range(30):
         f = random_element(rng, rng.randrange(1, 4))
@@ -140,7 +140,7 @@ def test_image_of_gap_respects_composition():
 
 def test_image_of_arc_matches_pointwise_images():
     rng = random.Random(26)
-    arcs = [BASE_ARC_HALF, BASE_ARC_ZERO, arc_check(A(5, 12), A(7, 12))]
+    arcs = [BASE_ARC_HALF, BASE_ARC_ZERO, arc_from_endpoints(A(5, 12), A(7, 12))]
     for _ in range(30):
         f = random_element(rng, rng.randrange(1, 5))
         arc = rng.choice(arcs)

@@ -10,7 +10,6 @@ from basilica.lamination import (
     BASE_ARC_ZERO,
     GapId,
     ancestors,
-    arc_check,
     arc_for_label,
     arc_from_endpoints,
     central_label,
@@ -63,11 +62,11 @@ def test_family_closed_under_doubling():
 
 def test_arc_check_accepts_family_and_agrees_with_closed_form():
     # minimal_diagram_containing trusts Arc.__post_init__ to keep arcs in
-    # the family, so descent must accept every canonical index
+    # the family, so the validator must accept every canonical index
     for arc in all_arcs(8):
         a, b = sorted(arc.endpoints)
-        assert arc_check(a, b) == arc
         assert arc_from_endpoints(a, b) == arc
+        assert arc_from_endpoints(b, a) == arc
 
 
 def test_arc_check_rejections():
@@ -76,9 +75,10 @@ def test_arc_check_rejections():
         (A(1, 6), A(1, 3)),      # a standard interval, not a leaf
         (A(5, 12), A(11, 12)),   # crosses the base arcs
         (A(1, 4), A(1, 2)),      # off the endpoint grid entirely
+        (A(1, 6), A(1, 6)),      # degenerate pair
     ]:
         with pytest.raises(NotAnArc):
-            arc_check(a, b)
+            arc_from_endpoints(a, b)
 
 
 def test_farside_is_the_short_side():
@@ -92,11 +92,11 @@ def test_farside_is_the_short_side():
 
 def test_ancestors_by_hand():
     assert ancestors(BASE_ARC_HALF) == []
-    assert ancestors(arc_check(A(5, 24), A(7, 24))) == []
-    assert ancestors(arc_check(A(5, 12), A(7, 12))) == [BASE_ARC_HALF]
-    assert ancestors(arc_check(A(29, 48), A(31, 48))) == [BASE_ARC_HALF]
-    deep = arc_check(A(11, 24), A(13, 24))
-    assert ancestors(deep) == [BASE_ARC_HALF, arc_check(A(5, 12), A(7, 12))]
+    assert ancestors(arc_from_endpoints(A(5, 24), A(7, 24))) == []
+    assert ancestors(arc_from_endpoints(A(5, 12), A(7, 12))) == [BASE_ARC_HALF]
+    assert ancestors(arc_from_endpoints(A(29, 48), A(31, 48))) == [BASE_ARC_HALF]
+    deep = arc_from_endpoints(A(11, 24), A(13, 24))
+    assert ancestors(deep) == [BASE_ARC_HALF, arc_from_endpoints(A(5, 12), A(7, 12))]
 
 
 def test_ancestors_nesting_oracle():
@@ -105,10 +105,10 @@ def test_ancestors_nesting_oracle():
         far = arc.farside()
         return far.lo, far.lo + far.length
 
-    for arc in all_arcs(5):
+    for arc in all_arcs(8):
         chain = ancestors(arc)
         lo, hi = span(arc)
-        for other in all_arcs(5):
+        for other in all_arcs(8):
             if other == arc:
                 continue
             olo, ohi = span(other)
@@ -138,13 +138,30 @@ def test_central_labels_to_denominator_64():
         assert arc_for_label(label) == arc
 
 
+def test_arc_for_label_inverts_central_label():
+    for e in range(11):
+        for p in range(2 ** e):
+            q = Fraction(p, 2 ** e)
+            assert central_label(arc_for_label(q)) == q
+
+
+def test_is_central_exactly_when_labelled():
+    for arc in all_arcs(11):
+        try:
+            central_label(arc)
+            labelled = True
+        except NotCentral:
+            labelled = False
+        assert is_central(arc) == labelled
+
+
 def test_central_label_examples():
     assert central_label(BASE_ARC_ZERO) == 0
     assert central_label(BASE_ARC_HALF) == Fraction(1, 2)
-    assert central_label(arc_check(A(5, 24), A(7, 24))) == Fraction(1, 4)
-    assert central_label(arc_check(A(29, 96), A(31, 96))) == Fraction(3, 8)
+    assert central_label(arc_from_endpoints(A(5, 24), A(7, 24))) == Fraction(1, 4)
+    assert central_label(arc_from_endpoints(A(29, 96), A(31, 96))) == Fraction(3, 8)
     with pytest.raises(NotCentral):
-        central_label(arc_check(A(5, 12), A(7, 12)))
+        central_label(arc_from_endpoints(A(5, 12), A(7, 12)))
 
 
 def test_is_standard():
@@ -158,7 +175,7 @@ def test_is_standard():
 def test_gap_depth_and_color():
     assert gap_depth(GapId.central()) == 0
     assert gap_color(GapId.behind(BASE_ARC_HALF)) == 1
-    deep = arc_check(A(5, 12), A(7, 12))
+    deep = arc_from_endpoints(A(5, 12), A(7, 12))
     assert gap_depth(GapId.behind(deep)) == 2
     assert gap_color(GapId.behind(deep)) == 0
 
@@ -166,13 +183,13 @@ def test_gap_depth_and_color():
 def test_neighbor_gap():
     assert neighbor_gap(BASE_ARC_HALF, "farside") == GapId.behind(BASE_ARC_HALF)
     assert neighbor_gap(BASE_ARC_HALF, "centerside") == GapId.central()
-    deep = arc_check(A(5, 12), A(7, 12))
+    deep = arc_from_endpoints(A(5, 12), A(7, 12))
     assert neighbor_gap(deep, "centerside") == GapId.behind(BASE_ARC_HALF)
 
 
 def test_parse_formats():
     arc = parse_arc("{5/24, 7/24}")
-    assert arc == arc_check(A(5, 24), A(7, 24))
+    assert arc == arc_from_endpoints(A(5, 24), A(7, 24))
     assert parse_arc(str(arc)) == arc
     assert parse_gap("central") == GapId.central()
     assert parse_gap(f"behind {arc}") == GapId.behind(arc)
