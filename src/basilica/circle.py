@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, UnsupportedDenominator
+from .errors import ParseError, UnsupportedDenominator, excerpt
 
 
 def _on_grid(den: int) -> bool:
@@ -76,7 +76,7 @@ def parse_angle(text: str) -> Angle:
             return angle_make(int(num), int(den))
         return angle_make(int(text), 1)
     except ValueError as exc:
-        raise ParseError(f"bad angle {text!r}") from exc
+        raise ParseError(f"bad angle {excerpt(text)!r}") from exc
 
 
 class PLCircleMap:
@@ -248,7 +248,7 @@ def parse_pl(text: str) -> PLCircleMap:
     pairs = []
     for chunk in text.strip().split(","):
         if chunk.count(":") != 1:
-            raise ParseError(f"bad breakpoint {chunk!r}")
+            raise ParseError(f"bad breakpoint {excerpt(chunk)!r}")
         x, y = chunk.split(":")
         pairs.append((parse_angle(x), parse_angle(y)))
     try:

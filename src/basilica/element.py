@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .circle import Angle, PLCircleMap, pl_eval
-from .diagram import ArcDiagram, base_diagram, pair_compose, pair_reduce, parse_diagram
-from .errors import ArcMismatch, LeafCountMismatch, NotAnArc, ParseError
+from .diagram import ARITY, ArcDiagram, base_diagram, pair_compose, pair_reduce, parse_diagram
+from .errors import ArcMismatch, LeafCountMismatch, NotAnArc, ParseError, excerpt
 from .lamination import (
     Arc,
     BASE_ARC_HALF,
@@ -121,7 +121,7 @@ def inverse(e: Element) -> Element:
 
 def reduce(e: Element) -> Element:
     """Cancel matching carets until none remain."""
-    domain, range_, offset = pair_reduce(e.domain.forest, e.range.forest, e.offset)
+    domain, range_, offset = pair_reduce(e.domain.forest, e.range.forest, e.offset, ARITY)
     if domain is e.domain.forest:
         return e
     return Element(ArcDiagram(domain), ArcDiagram(range_), offset)
@@ -144,6 +144,7 @@ def compose(f: Element, g: Element) -> Element:
     domain, range_, offset = pair_compose(
         (f.domain.forest, f.range.forest, f.offset),
         (g.domain.forest, g.range.forest, g.offset),
+        ARITY,
     )
     return Element(ArcDiagram(domain), ArcDiagram(range_), offset)
 
@@ -195,15 +196,13 @@ def is_in_rist(e: Element) -> bool:
 
 def parse_element(text: str) -> Element:
     body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ParseError(text)
     parts = body[1:-1].split(";")
-    if len(parts) != 3:
-        raise ParseError(text)
+    if not (body.startswith("[") and body.endswith("]")) or len(parts) != 3:
+        raise ParseError(f"an element is [domain ; range ; offset], not {excerpt(body)!r}")
     domain = parse_diagram(parts[0])
     range_ = parse_diagram(parts[1])
     try:
         offset = int(parts[2].strip())
     except ValueError:
-        raise ParseError(parts[2].strip())
+        raise ParseError(f"bad offset {excerpt(parts[2].strip())!r}") from None
     return make(domain, range_, offset)

@@ -76,3 +76,8 @@ class NotInStab(BasilicaError):
 
 class ParseError(BasilicaError):
     code = "ParseError"
+
+
+def excerpt(text: str) -> str:
+    """At most 40 characters of the text, for quoting in an error message."""
+    return text if len(text) <= 40 else text[:37] + "..."

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .circle import Angle, mod1
-from .errors import NotAnArc, NotCentral, ParseError
+from .errors import NotAnArc, NotCentral, ParseError, excerpt
 
 
 @dataclass(frozen=True)
@@ -300,12 +300,12 @@ def neighbor_gap(arc: Arc, side: str) -> GapId:
 def parse_arc(text: str) -> Arc:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"bad arc syntax {text!r}")
+        raise ParseError(f"bad arc syntax {excerpt(text)!r}")
     from .circle import parse_angle
 
     parts = text[1:-1].split(",")
     if len(parts) != 2:
-        raise ParseError(f"bad arc syntax {text!r}")
+        raise ParseError(f"bad arc syntax {excerpt(text)!r}")
     return arc_from_endpoints(parse_angle(parts[0]), parse_angle(parts[1]))
 
 
@@ -315,4 +315,4 @@ def parse_gap(text: str) -> GapId:
         return GapId.central()
     if text.startswith("behind "):
         return GapId.behind(parse_arc(text[len("behind "):]))
-    raise ParseError(f"bad gap syntax {text!r}")
+    raise ParseError(f"bad gap syntax {excerpt(text)!r}")

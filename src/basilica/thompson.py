@@ -1,7 +1,8 @@
 """Tree pairs for Thompson's T and the bridge to the rearrangement group.
 
 A tree pair is a pair of binary forests over the halves [0,1/2], [1/2,1]
-plus a cyclic offset matching leaves.  The rigid stabilizer of the central
+plus a cyclic offset matching leaves; a forest is a preorder string as in
+``diagram``, with ``ARITY`` 2.  The rigid stabilizer of the central
 gap is isomorphic to T; ``tau`` realizes the isomorphism by reading arcs
 through their dyadic labels, and ``factor_t`` writes any tree pair as a
 word in the three images of the rearrangement generators.
@@ -13,21 +14,19 @@ from fractions import Fraction
 
 from .circle import PLCircleMap, mod1
 from .diagram import (
-    LEAF,
     forest_carets,
     forest_collapse,
-    forest_leaf_count,
     format_forest,
-    minimal_diagram_containing,
     pair_compose,
     pair_reduce,
+    parse_diagram,
     parse_forest,
 )
 from .element import Element, image_of_arc, is_in_rist, is_in_stab, make, reduce
-from .errors import NotInRist, NotInStab, ParseError
-from .lamination import arc_for_label, central_label, is_central
+from .errors import NotInRist, NotInStab, ParseError, excerpt
+from .lamination import central_label, is_central
 
-HALVES = (Fraction(0), Fraction(1, 2), Fraction(1))
+ARITY = 2
 
 
 class TreePair:
@@ -35,20 +34,18 @@ class TreePair:
 
     __slots__ = ("domain", "range", "offset")
 
-    def __init__(self, domain, range_, offset: int):
-        domain = tuple(domain)
-        range_ = tuple(range_)
-        if len(domain) != 2 or len(range_) != 2:
+    def __init__(self, domain: str, range_: str, offset: int):
+        m = domain.count("0")
+        if any(side.count("0") != side.count("1") + 2 for side in (domain, range_)):
             raise ValueError("each side needs one tree per half")
-        m = forest_leaf_count(domain)
-        if forest_leaf_count(range_) != m:
+        if range_.count("0") != m:
             raise ValueError("leaf counts differ")
         self.domain = domain
         self.range = range_
         self.offset = offset % m
 
     def leaf_count(self) -> int:
-        return forest_leaf_count(self.domain)
+        return self.domain.count("0")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TreePair):
@@ -63,14 +60,15 @@ class TreePair:
         return hash((self.domain, self.range, self.offset))
 
     def __str__(self) -> str:
-        return f"[{format_forest(self.domain)} ; {format_forest(self.range)} ; {self.offset}]"
+        domain, range_ = (format_forest(side, ARITY) for side in (self.domain, self.range))
+        return f"[{domain} ; {range_} ; {self.offset}]"
 
     def __repr__(self) -> str:
         return f"TreePair({self})"
 
 
 def tp_identity() -> TreePair:
-    return TreePair((LEAF, LEAF), (LEAF, LEAF), 0)
+    return TreePair("00", "00", 0)
 
 
 def tp_to_pl(t: TreePair) -> PLCircleMap:
@@ -80,16 +78,12 @@ def tp_to_pl(t: TreePair) -> PLCircleMap:
     return PLCircleMap([(dom[i], ran[(i + t.offset) % m]) for i in range(m)])
 
 
-def tp_eval(t: TreePair, x: Fraction) -> Fraction:
-    return tp_to_pl(t).eval_fraction(Fraction(x))
-
-
 def tp_inverse(t: TreePair) -> TreePair:
     return TreePair(t.range, t.domain, -t.offset)
 
 
 def tp_reduce(t: TreePair) -> TreePair:
-    return TreePair(*pair_reduce(t.domain, t.range, t.offset))
+    return TreePair(*pair_reduce(t.domain, t.range, t.offset, ARITY))
 
 
 def tp_equal(a: TreePair, b: TreePair) -> bool:
@@ -99,49 +93,46 @@ def tp_equal(a: TreePair, b: TreePair) -> bool:
 def tp_compose(s: TreePair, t: TreePair) -> TreePair:
     """s after t.  The result is reduced."""
     return TreePair(
-        *pair_compose((s.domain, s.range, s.offset), (t.domain, t.range, t.offset))
+        *pair_compose((s.domain, s.range, s.offset), (t.domain, t.range, t.offset), ARITY)
     )
 
 
 # -- dyadic cut sets ---------------------------------------------------------
 
-def _tree_from_cuts(lo: Fraction, hi: Fraction, cuts):
-    inner = [c for c in cuts if lo < c < hi]
-    if not inner:
-        return LEAF
-    mid = (lo + hi) / 2
-    if mid not in cuts:
-        raise ValueError(f"cut set is not subdivision-closed at {mid}")
-    return (
-        _tree_from_cuts(lo, mid, cuts),
-        _tree_from_cuts(mid, hi, cuts),
-    )
-
-
-def forest_from_cuts(cuts) -> tuple:
+def forest_from_cuts(cuts) -> str:
     """The binary forest over the two halves with the given dyadic cut set."""
-    cuts = set(cuts)
-    if Fraction(0) not in cuts or Fraction(1, 2) not in cuts:
-        raise ValueError("cut set must contain 0 and 1/2")
-    return tuple(
-        _tree_from_cuts(lo, hi, cuts) for lo, hi in zip(HALVES, HALVES[1:])
-    )
+    cuts = sorted(set(cuts))
+    if cuts[:1] != [0] or cuts[-1] >= 1:
+        raise ValueError("cut set must contain 0 and lie in [0,1)")
+    lengths = iter([b - a for a, b in zip(cuts, cuts[1:])] + [1 - cuts[-1]])
+    length = next(lengths)
+    out = []
+    stack = [Fraction(1, 2)] * 2  # lengths of the nodes still to write
+    while stack:
+        size = stack.pop()
+        if length < size:
+            out.append("1")
+            stack += (size / 2, size / 2)
+        elif length == size:
+            out.append("0")
+            length = next(lengths, None)
+        else:
+            raise ValueError(f"cut set is not subdivision-closed: no leaf of length {length}")
+    return "".join(out)
 
 
-def _tree_cuts(tree, lo: Fraction, hi: Fraction, out):
-    if tree is LEAF:
-        out.append(lo)
-        return
-    mid = (lo + hi) / 2
-    _tree_cuts(tree[0], lo, mid, out)
-    _tree_cuts(tree[1], mid, hi, out)
-
-
-def forest_cuts(forest) -> list:
+def forest_cuts(forest: str) -> list:
     """Left ends of the leaves, in order; the inverse of forest_from_cuts."""
-    out: list = []
-    for tree, lo, hi in zip(forest, HALVES, HALVES[1:]):
-        _tree_cuts(tree, lo, hi, out)
+    out = []
+    left = Fraction(0)
+    stack = [Fraction(1, 2)] * 2
+    for node in forest:
+        size = stack.pop()
+        if node == "1":
+            stack += (size / 2, size / 2)
+        else:
+            out.append(left)
+            left += size
     return out
 
 
@@ -153,16 +144,11 @@ def rotation_treepair(amount: Fraction) -> TreePair:
     if amount == 0:
         return tp_identity()
     m = max(amount.denominator.bit_length() - 1, 1)
-    tree = _full_btree(m - 1)
+    tree = "0"
+    for _ in range(m - 1):
+        tree = "1" + tree + tree
     k = int(amount * 2 ** m)
-    return TreePair((tree, tree), (tree, tree), k)
-
-
-def _full_btree(depth: int):
-    if depth == 0:
-        return LEAF
-    child = _full_btree(depth - 1)
-    return (child, child)
+    return TreePair(tree + tree, tree + tree, k)
 
 
 def t_transporter(p: Fraction, q: Fraction) -> TreePair:
@@ -191,13 +177,18 @@ def tau(e: Element) -> TreePair:
 
 
 def tau_inverse(t: TreePair) -> Element:
-    """The rigid-stabilizer element with the given boundary tree pair."""
+    """The rigid-stabilizer element with the given boundary tree pair.
+
+    Its diagrams are the binary forests with a leaf behind each new central
+    arc: in the wire format each binary node (l,r) becomes (l,.,r), the two
+    halves are base trees 0 and 2, and base trees 1 and 3 stay leaves.
+    """
     t = tp_reduce(t)
-    dom_cuts = forest_cuts(t.domain)
-    ran_cuts = forest_cuts(t.range)
-    domain = minimal_diagram_containing([arc_for_label(c) for c in dom_cuts])
-    range_ = minimal_diagram_containing([arc_for_label(c) for c in ran_cuts])
-    target = ran_cuts[t.offset % len(ran_cuts)]
+    domain, range_ = (
+        parse_diagram(format_forest(side, ARITY).replace(",", ",.,") + ",.")
+        for side in (t.domain, t.range)
+    )
+    target = forest_cuts(t.range)[t.offset]
     offset = next(
         i for i, info in enumerate(range_.leaves())
         if info.labels is not None and info.labels[0] == target
@@ -232,11 +223,9 @@ def boundary_action(e: Element) -> TreePair:
 def _letter_tp(letter: str) -> TreePair:
     name, inv = letter[0], letter.endswith("'")
     base = {
-        "B": TreePair((LEAF, (LEAF, LEAF)), ((LEAF, LEAF), LEAF), 0),
-        "G": TreePair(
-            ((LEAF, (LEAF, LEAF)), LEAF), (((LEAF, LEAF), LEAF), LEAF), 0
-        ),
-        "D": TreePair((LEAF, LEAF), (LEAF, LEAF), 1),
+        "B": TreePair("0100", "1000", 0),
+        "G": TreePair("101000", "110000", 0),
+        "D": TreePair("00", "00", 1),
     }[name]
     return tp_inverse(base) if inv else base
 
@@ -272,24 +261,13 @@ def _transport_to_zero(q: Fraction):
     return list(reversed(moves))
 
 
-def _is_vine(forest) -> bool:
-    tree = forest[1]
-    if forest[0] is not LEAF:
-        return False
-    while tree is not LEAF:
-        if tree[0] is not LEAF:
-            return False
-        tree = tree[1]
-    return True
-
-
 def _positive_factorization(forest):
     """Indices i with (vine, forest) = x_{i1} ... x_{ik} in Thompson's F."""
     out = []
-    n = forest_leaf_count(forest)
-    while not _is_vine(forest):
-        s = next(c for c in forest_carets(forest) if c <= n - 3)
-        forest = forest_collapse(forest, s)
+    n = forest.count("0")
+    while forest != "0" + "10" * (n - 2) + "0":  # a leaf, then a right vine
+        s = next(c for c in forest_carets(forest, ARITY) if c <= n - 3)
+        forest = forest_collapse(forest, s, ARITY)
         n -= 1
         out.append(s)
     return list(reversed(out))
@@ -310,7 +288,7 @@ def factor_t(t: TreePair):
     t = tp_reduce(t)
     if t == tp_identity():
         return []
-    q = tp_eval(t, Fraction(0))
+    q = forest_cuts(t.range)[t.offset]  # the image of 0
     transport = _transport_to_zero(q)
     h = tp_compose(word_to_tp(transport), t)
     assert h.offset == 0, "map fixing 0 must match leaves without rotation"
@@ -328,16 +306,15 @@ def factor_t(t: TreePair):
 
 def parse_treepair(text: str) -> TreePair:
     body = text.replace(" ", "")
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ParseError(text)
     parts = body[1:-1].split(";")
-    if len(parts) != 3:
-        raise ParseError(text)
+    if not (body.startswith("[") and body.endswith("]")) or len(parts) != 3:
+        raise ParseError(f"a tree pair is [domain ; range ; offset], not {excerpt(body)!r}")
     try:
         offset = int(parts[2])
     except ValueError:
-        raise ParseError(parts[2])
+        raise ParseError(f"bad offset {excerpt(parts[2])!r}") from None
+    domain, range_ = (parse_forest(side, 2, ARITY) for side in parts[:2])
     try:
-        return TreePair(parse_forest(parts[0], 2, 2), parse_forest(parts[1], 2, 2), offset)
+        return TreePair(domain, range_, offset)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -24,7 +24,7 @@ from .element import (
     is_in_stab,
     reduce,
 )
-from .errors import ParseError
+from .errors import ParseError, excerpt
 from .lamination import (
     GapId,
     ancestors,
@@ -51,7 +51,7 @@ def parse_word(text: str) -> list[str]:
     word = []
     for chunk in text.split():
         if not chunk or chunk[0] not in _LETTERS or chunk[1:] not in ("", "'"):
-            raise ParseError(f"bad letter {chunk!r}")
+            raise ParseError(f"bad letter {excerpt(chunk)!r}")
         word.append(chunk)
     return word
 

@@ -100,6 +100,34 @@ def test_malformed_input_exits_one(capsys):
         assert err and "Traceback" not in err, argv
 
 
+def test_deep_nesting_exits_zero(capsys):
+    n = 1500
+    tree = "(" * n + ".,.,.)" + ",.,.)" * (n - 1)  # ternary, nested in child 0
+    forest = tree + ",.,.,."
+    vine = ".," + "(.," * (n - 1) + "(.,.)" + ")" * (n - 1)  # binary right vine
+    code, out = run(capsys, "reduce", "--element", f"[{forest} ; {forest} ; 0]")
+    assert (code, out) == (0, "[.,.,.,. ; .,.,.,. ; 0]")
+    code, out = run(capsys, "render", "--diagram", forest)
+    assert code == 0 and out.count('<path class="arc"') == n + 2
+    code, out = run(capsys, "tau", "--treepair", f"[{vine} ; {vine} ; 1]", "--inverse")
+    # each binary node becomes a ternary one: n + 2 leaves become 2n + 4
+    assert code == 0 and out.count(".") == 2 * (2 * n + 4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_parse_errors_are_short(capsys):
+    junk = "x" * 100_000
+    for argv in [
+        ["reduce", "--element", junk],
+        ["tau", "--inverse", "--treepair", f"[{junk}]"],
+        ["reduce", "--element", f"[.,.,.,. ; .,.,.,. ; {junk}]"],
+        ["render", "--diagram", ".,.,.,(" + ".," * 100_000 + ".)"],
+    ]:
+        assert main(argv) == 1, argv[:2]
+        err = capsys.readouterr().err
+        assert 0 < len(err.encode()) < 300, argv[:2]
+
+
 def test_readme_cli_block(tmp_path, monkeypatch, capsys):
     block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("tb ")]

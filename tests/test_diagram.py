@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,14 +6,18 @@ import pytest
 
 from basilica.circle import Angle
 from basilica.diagram import (
+    ARITY,
+    ArcDiagram,
     base_diagram,
-    collapse_at,
-    common_refinement,
-    graft,
+    forest_carets,
+    forest_collapse,
+    forest_expand,
+    forest_graft,
+    forest_merge,
+    format_forest,
     minimal_diagram_containing,
     parse_diagram,
-    sibling_triples,
-    subtree_shapes,
+    parse_forest,
 )
 from basilica.errors import ParseError
 from basilica.lamination import (
@@ -32,7 +37,7 @@ def A(p, q):
 
 
 def refines(coarse, fine) -> bool:
-    return common_refinement(coarse, fine) == fine
+    return forest_merge(coarse.forest, fine.forest, ARITY)[0] == fine.forest
 
 
 def random_diagram(rng, expansions):
@@ -118,7 +123,7 @@ def test_minimal_diagram_of_one_arc_has_one_caret():
         assert arc in d.arcs()
         # the base arcs sit in the base diagram, which has no caret
         base = arc in (BASE_ARC_HALF, BASE_ARC_ZERO)
-        assert len(sibling_triples(d)) == (0 if base else 1)
+        assert len(forest_carets(d.forest, ARITY)) == (0 if base else 1)
 
 
 def test_minimal_diagram_includes_ancestors():
@@ -133,7 +138,7 @@ def test_common_refinement_is_join():
     for _ in range(15):
         d1 = random_diagram(rng, rng.randrange(8))
         d2 = random_diagram(rng, rng.randrange(8))
-        r = common_refinement(d1, d2)
+        r = ArcDiagram(forest_merge(d1.forest, d2.forest, ARITY)[0])
         assert refines(d1, r) and refines(d2, r)
         assert r.arcs() == d1.arcs() | d2.arcs()
 
@@ -145,9 +150,10 @@ def test_subtree_shapes_and_graft_invert():
         fine = coarse
         for _ in range(rng.randrange(5)):
             fine = fine.expand_at(rng.randrange(fine.leaf_count()))
-        shapes = subtree_shapes(coarse, fine)
+        union, shapes, _ = forest_merge(coarse.forest, fine.forest, ARITY)
+        assert union == fine.forest
         assert len(shapes) == coarse.leaf_count()
-        assert graft(coarse, shapes) == fine
+        assert forest_graft(coarse.forest, shapes) == fine.forest
 
 
 def test_collapse_inverts_expand():
@@ -156,8 +162,8 @@ def test_collapse_inverts_expand():
         d = random_diagram(rng, rng.randrange(6))
         i = rng.randrange(d.leaf_count())
         e = d.expand_at(i)
-        assert i in sibling_triples(e)
-        assert collapse_at(e, i) == d
+        assert i in forest_carets(e.forest, ARITY)
+        assert forest_collapse(e.forest, i, ARITY) == d.forest
 
 
 def test_serialization_roundtrip():
@@ -170,3 +176,48 @@ def test_serialization_roundtrip():
         parse_diagram(".,.,.")
     with pytest.raises(ParseError):
         parse_diagram("(.,.),.,.,.")
+
+
+def is_forest_text(text, trees, arity):
+    """Collapse '(.,...,.)' to '.' until nothing changes: a forest text
+    ends as exactly `trees` comma-separated leaves."""
+    caret = "(" + ",".join("." * arity) + ")"
+    while caret in text:
+        text = text.replace(caret, ".")
+    return text == ",".join("." * trees)
+
+
+def test_parse_forest_accepts_exactly_forest_texts():
+    # a text over "(.,)" parses iff it is a forest text, and then formats back
+    rng = random.Random(12)
+    short = ["".join(p) for n in range(8) for p in itertools.product("(.,)", repeat=n)]
+    for trees, arity in ((2, 2), (4, 3)):
+        texts = short + [
+            "".join(rng.choice("(.,)") for _ in range(rng.randrange(41)))
+            for _ in range(3000)
+        ]
+        for _ in range(300):
+            forest = "0" * trees
+            for _ in range(rng.randrange(8)):
+                forest = forest_expand(forest, rng.randrange(forest.count("0")), arity)
+            valid = format_forest(forest, arity)
+            assert parse_forest(valid, trees, arity) == forest
+            i = rng.randrange(len(valid) + 1)
+            char = rng.choice("(.,)")
+            texts += [
+                valid,
+                valid[:i] + char + valid[i + 1:],
+                valid[:i] + char + valid[i:],
+                valid[:i] + valid[i + 1:],
+            ]
+        accepted = 0
+        for text in texts:
+            try:
+                forest = parse_forest(text, trees, arity)
+            except ParseError:
+                assert not is_forest_text(text, trees, arity), text
+                continue
+            assert is_forest_text(text, trees, arity), text
+            assert format_forest(forest, arity) == text
+            accepted += 1
+        assert 300 < accepted < len(texts)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from basilica.diagram import forest_expand
 from basilica.element import compose, equal, generator, identity, inverse, reduce
 from basilica.errors import NotInRist, NotInStab
 from basilica.thompson import (
@@ -16,7 +17,6 @@ from basilica.thompson import (
     tau_inverse,
     tp_compose,
     tp_equal,
-    tp_eval,
     tp_identity,
     tp_inverse,
     tp_reduce,
@@ -36,6 +36,10 @@ def random_rist(rng, length):
             g = inverse(g)
         e = compose(e, g)
     return e
+
+
+def tp_eval(t, x):
+    return tp_to_pl(t).eval_fraction(Fraction(x))
 
 
 def random_treepair(rng, length):
@@ -135,19 +139,6 @@ def test_factor_t_roundtrip():
     assert factor_t(tp_identity()) == []
 
 
-def expand_leaf(forest, i):
-    """The forest with its leaf i replaced by a caret."""
-    seen = []
-
-    def walk(tree):
-        if tree is not None:
-            return tuple(map(walk, tree))
-        seen.append(tree)
-        return (None, None) if len(seen) == i + 1 else None
-
-    return tuple(map(walk, forest))
-
-
 def test_expand_treepair_preserves_map():
     rng = random.Random(50)
     wrapped = 0
@@ -160,8 +151,8 @@ def test_expand_treepair_preserves_map():
             u = (i + offset) % m
             wrapped += i + offset >= m
             blown = TreePair(
-                expand_leaf(blown.domain, i),
-                expand_leaf(blown.range, u),
+                forest_expand(blown.domain, i, 2),
+                forest_expand(blown.range, u, 2),
                 offset + (u < offset),
             )
         assert blown.leaf_count() > t.leaf_count()
