@@ -21,6 +21,7 @@ from .errors import (
     LeafCountMismatch,
     ParseError,
     UnsupportedDenominator,
+    excerpt,
 )
 from .lamination import parse_gap
 from .membership import recognize
@@ -50,11 +51,12 @@ def _emit(args, text: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, as malformed input: exit 2 means REJECT."""
+    """Usage errors exit 1, as malformed input: exit 2 means REJECT.  The
+    message is cut short, since argparse quotes the offending value whole."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {excerpt(message, 100)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,20 +5,16 @@ A forest is one string in preorder, '1' for an internal node and '0' for a
 leaf, with the trees one after another.  The arity is fixed per kind of
 forest (``ARITY`` here, 2 in ``thompson``), so the string alone fixes the
 shape.  Each internal node of an arc diagram stands for the 1:2:1
-subdivision of its interval by the interval's primary arc.  Leaf contexts
-(which gap a leaf borders) are carried by construction and cross-checked
-against the ancestor computation in tests.
+subdivision of its interval by the interval's primary arc.  The nodes that
+border the central gap form the central skeleton, a binary forest over the
+two halves of the gap boundary: Thompson's T acts on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .circle import Angle
 from .errors import ParseError, excerpt
 from .lamination import (
-    Arc,
     BASE_ARC_HALF,
     BASE_ARC_ZERO,
     StandardInterval,
@@ -29,24 +25,6 @@ from .lamination import (
 )
 
 ARITY = 3
-
-
-@dataclass(frozen=True)
-class LeafInfo:
-    """One leaf interval of a diagram together with its gap context."""
-
-    interval: StandardInterval
-    labels: tuple | None   # (d1, d2) dyadic labels when central-adjacent
-    behind: Arc | None     # bounding arc when the leaf sits behind an arc
-
-
-# (labels, behind) of the four base intervals
-_BASE_CONTEXTS = (
-    ((Fraction(0), Fraction(1, 2)), None),
-    (None, BASE_ARC_HALF),
-    ((Fraction(1, 2), Fraction(1)), None),
-    (None, BASE_ARC_ZERO),
-)
 
 
 class ArcDiagram:
@@ -63,36 +41,25 @@ class ArcDiagram:
 
     # -- derived structure ------------------------------------------------
 
-    def leaves(self) -> tuple[LeafInfo, ...]:
+    def leaves(self) -> tuple[StandardInterval, ...]:
         if self._leaves is None:
-            out: list[LeafInfo] = []
-            stack = [
-                (interval, labels, behind)
-                for interval, (labels, behind) in zip(base_intervals(), _BASE_CONTEXTS)
-            ][::-1]
-            pop, push = stack.pop, stack.extend
+            out: list[StandardInterval] = []
+            stack = list(base_intervals()[::-1])
             for node in self.forest:
-                interval, labels, behind = pop()
+                interval = stack.pop()
                 if node == "0":
-                    out.append(LeafInfo(interval, labels, behind))
-                    continue
-                left, middle, right = subdivide(interval)
-                middle = (middle, None, primary_arc(interval))
-                if labels is None:
-                    push(((right, None, behind), middle, (left, None, behind)))
+                    out.append(interval)
                 else:
-                    d1, d2 = labels
-                    mid = (d1 + d2) / 2
-                    push(((right, (mid, d2), None), middle, (left, (d1, mid), None)))
+                    stack.extend(subdivide(interval)[::-1])
             object.__setattr__(self, "_leaves", tuple(out))
         return self._leaves
 
     def leaf_intervals(self) -> tuple[StandardInterval, ...]:
-        return tuple(info.interval for info in self.leaves())
+        return self.leaves()
 
     def boundary_points(self) -> tuple[Angle, ...]:
         """Left endpoints of the leaves, ccw from 1/6."""
-        return tuple(Angle(info.interval.lo) for info in self.leaves())
+        return tuple(Angle(interval.lo) for interval in self.leaves())
 
     def arcs(self) -> frozenset:
         if self._arcs is None:
@@ -159,6 +126,28 @@ def minimal_diagram_containing(arcs) -> ArcDiagram:
         else:
             out.append("0")
     return ArcDiagram("".join(out))
+
+
+def central_skeleton(forest: str) -> tuple[str, list[bool]]:
+    """The binary forest of the nodes bordering the central gap, and for each
+    leaf whether it borders the gap.
+
+    Base trees 0 and 2 border the gap, trees 1 and 3 sit behind the base
+    arcs.  A bordering node's outer children border the gap too, its middle
+    child sits behind the node's primary arc; hidden subtrees are dropped.
+    """
+    skeleton: list[str] = []
+    flags: list[bool] = []
+    stack = [False, True, False, True]  # popped from the end: trees 0..3
+    for node in forest:
+        border = stack.pop()
+        if border:
+            skeleton.append(node)
+        if node == "0":
+            flags.append(border)
+        else:
+            stack += (border, False, border)
+    return "".join(skeleton), flags
 
 
 # -- the forest-pair engine ----------------------------------------------------

@@ -12,14 +12,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .circle import Angle, PLCircleMap, pl_eval
-from .diagram import ARITY, ArcDiagram, base_diagram, pair_compose, pair_reduce, parse_diagram
+from .diagram import (
+    ARITY,
+    ArcDiagram,
+    base_diagram,
+    central_skeleton,
+    pair_compose,
+    pair_reduce,
+    parse_diagram,
+)
 from .errors import ArcMismatch, LeafCountMismatch, NotAnArc, ParseError, excerpt
 from .lamination import (
     Arc,
     BASE_ARC_HALF,
     GapId,
     arc_from_endpoints,
-    is_central,
     neighbor_gap,
 )
 
@@ -182,15 +189,21 @@ def image_of_gap(e: Element, gap: GapId) -> GapId:
 
 
 def is_in_stab(e: Element) -> bool:
-    """Does the element fix the central gap?"""
-    return image_of_gap(e, GapId.central()).arc is None
+    """Does the element fix the central gap?
+
+    Domain leaf 0 borders the central gap, so the gap stays put iff the
+    range leaf it goes to borders the central gap too.
+    """
+    return central_skeleton(e.range.forest)[1][e.offset]
 
 
 def is_in_rist(e: Element) -> bool:
-    """Is the element supported behind central arcs only?"""
+    """Is the element supported behind central arcs only, i.e. does every
+    node of its reduced diagrams border the central gap?"""
     r = reduce(e)
-    return all(is_central(a) for a in r.domain.arcs()) and all(
-        is_central(a) for a in r.range.arcs()
+    return all(
+        central_skeleton(side.forest)[0].count("1") == side.forest.count("1")
+        for side in (r.domain, r.range)
     )
 
 

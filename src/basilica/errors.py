@@ -78,6 +78,6 @@ class ParseError(BasilicaError):
     code = "ParseError"
 
 
-def excerpt(text: str) -> str:
-    """At most 40 characters of the text, for quoting in an error message."""
-    return text if len(text) <= 40 else text[:37] + "..."
+def excerpt(text: str, limit: int = 40) -> str:
+    """At most `limit` characters of the text, for quoting in an error message."""
+    return text if len(text) <= limit else text[:limit - 3] + "..."

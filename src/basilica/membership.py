@@ -83,8 +83,7 @@ def recognize(f: PLCircleMap) -> Element:
     domain = base_diagram()
     while True:
         target = None
-        for i, info in enumerate(domain.leaves()):
-            iv = info.interval
+        for i, iv in enumerate(domain.leaves()):
             if any(iv.contains(x, strict=True) for x in bps):
                 target = i
                 break
@@ -111,15 +110,14 @@ def recognize(f: PLCircleMap) -> Element:
             raise ArcNotPreserved(arc)
     image_arcs = list(image_by_arc.values())
 
-    for info in domain.leaves():
-        iv = info.interval
+    for iv in domain.leaves():
         if not is_standard(f.eval_fraction(iv.lo), f.eval_fraction(iv.hi)):
             raise ImageNotStandard(iv)
 
     range_ = minimal_diagram_containing(image_arcs)
     if range_.leaf_count() != domain.leaf_count():
         raise ImageNotStandard(f)
-    first_image = Angle(f.eval_fraction(domain.leaves()[0].interval.lo))
+    first_image = Angle(f.eval_fraction(domain.leaves()[0].lo))
     offset = range_.boundary_points().index(first_image)
     e = make(domain, range_, offset)
     assert e.to_pl() == f, "reconstructed diagram disagrees with input map"

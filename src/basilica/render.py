@@ -64,7 +64,7 @@ def _panel(diagram: ArcDiagram, cx: float, cy: float, dot_leaf: int | None):
         a, b = sorted(p.f for p in arc.endpoints)
         parts.append(_arc_path(a, b, cx, cy))
     if dot_leaf is not None:
-        iv = diagram.leaves()[dot_leaf].interval
+        iv = diagram.leaves()[dot_leaf]
         theta = 2 * math.pi * float(iv.lo + iv.length / 2)
         x = cx + 0.92 * _R * math.cos(theta)
         y = cy - 0.92 * _R * math.sin(theta)

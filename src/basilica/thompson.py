@@ -3,9 +3,11 @@
 A tree pair is a pair of binary forests over the halves [0,1/2], [1/2,1]
 plus a cyclic offset matching leaves; a forest is a preorder string as in
 ``diagram``, with ``ARITY`` 2.  The rigid stabilizer of the central
-gap is isomorphic to T; ``tau`` realizes the isomorphism by reading arcs
-through their dyadic labels, and ``factor_t`` writes any tree pair as a
-word in the three images of the rearrangement generators.
+gap is isomorphic to T; ``tau`` realizes the isomorphism by the central
+skeleton (``diagram.central_skeleton``): the nodes of an arc diagram that
+border the central gap form a binary forest whose leaf i has dyadic left
+end the label of the i-th central arc.  ``factor_t`` writes any tree pair
+as a word in the three images of the rearrangement generators.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 from .circle import PLCircleMap, mod1
 from .diagram import (
+    central_skeleton,
     forest_carets,
     forest_collapse,
     format_forest,
@@ -22,9 +25,8 @@ from .diagram import (
     parse_diagram,
     parse_forest,
 )
-from .element import Element, image_of_arc, is_in_rist, is_in_stab, make, reduce
+from .element import Element, is_in_rist, is_in_stab, make, reduce
 from .errors import NotInRist, NotInStab, ParseError, excerpt
-from .lamination import central_label, is_central
 
 ARITY = 2
 
@@ -99,30 +101,8 @@ def tp_compose(s: TreePair, t: TreePair) -> TreePair:
 
 # -- dyadic cut sets ---------------------------------------------------------
 
-def forest_from_cuts(cuts) -> str:
-    """The binary forest over the two halves with the given dyadic cut set."""
-    cuts = sorted(set(cuts))
-    if cuts[:1] != [0] or cuts[-1] >= 1:
-        raise ValueError("cut set must contain 0 and lie in [0,1)")
-    lengths = iter([b - a for a, b in zip(cuts, cuts[1:])] + [1 - cuts[-1]])
-    length = next(lengths)
-    out = []
-    stack = [Fraction(1, 2)] * 2  # lengths of the nodes still to write
-    while stack:
-        size = stack.pop()
-        if length < size:
-            out.append("1")
-            stack += (size / 2, size / 2)
-        elif length == size:
-            out.append("0")
-            length = next(lengths, None)
-        else:
-            raise ValueError(f"cut set is not subdivision-closed: no leaf of length {length}")
-    return "".join(out)
-
-
 def forest_cuts(forest: str) -> list:
-    """Left ends of the leaves, in order; the inverse of forest_from_cuts."""
+    """Left ends of the leaves, in order."""
     out = []
     left = Fraction(0)
     stack = [Fraction(1, 2)] * 2
@@ -159,21 +139,10 @@ def t_transporter(p: Fraction, q: Fraction) -> TreePair:
 # -- the isomorphism with the central-gap stabilizer -------------------------
 
 def tau(e: Element) -> TreePair:
-    """Tree pair of a rigid-stabilizer element, read off the dyadic labels."""
-    e = reduce(e)
+    """Tree pair of a rigid-stabilizer element: its boundary action."""
     if not is_in_rist(e):
-        raise NotInRist(e)
-    dom_leaves = e.domain.leaves()
-    ran_leaves = e.range.leaves()
-    m = len(dom_leaves)
-    dom_cuts = [info.labels[0] for info in dom_leaves if info.labels is not None]
-    ran_cuts = sorted(info.labels[0] for info in ran_leaves if info.labels is not None)
-    image = ran_leaves[e.offset % m]
-    assert image.labels is not None, "image of a gap-adjacent leaf lost its label"
-    offset = ran_cuts.index(image.labels[0])
-    return tp_reduce(
-        TreePair(forest_from_cuts(dom_cuts), forest_from_cuts(ran_cuts), offset)
-    )
+        raise NotInRist(reduce(e))
+    return boundary_action(e)
 
 
 def tau_inverse(t: TreePair) -> Element:
@@ -188,34 +157,21 @@ def tau_inverse(t: TreePair) -> Element:
         parse_diagram(format_forest(side, ARITY).replace(",", ",.,") + ",.")
         for side in (t.domain, t.range)
     )
-    target = forest_cuts(t.range)[t.offset]
-    offset = next(
-        i for i, info in enumerate(range_.leaves())
-        if info.labels is not None and info.labels[0] == target
-    )
-    return reduce(make(domain, range_, offset))
+    bordering = [i for i, border in enumerate(central_skeleton(range_.forest)[1]) if border]
+    return reduce(make(domain, range_, bordering[t.offset]))
 
 
 def boundary_action(e: Element) -> TreePair:
-    """Action of a central-gap stabilizer on the gap boundary, as a tree pair."""
-    e = reduce(e)
+    """Action of a central-gap stabilizer on the gap boundary, as a tree pair.
+
+    The bordering leaves of the domain go in order onto those of the range,
+    domain leaf 0 onto range leaf ``e.offset``.
+    """
     if not is_in_stab(e):
-        raise NotInStab(e)
-    pairs = []
-    for arc in e.domain.arcs():
-        if not is_central(arc):
-            continue
-        image = image_of_arc(e, arc)
-        if not is_central(image):
-            raise NotInStab(e)
-        pairs.append((central_label(arc), central_label(image)))
-    pairs.sort()
-    dom_cuts = [p for p, _ in pairs]
-    ran_cuts = sorted(q for _, q in pairs)
-    offset = ran_cuts.index(dict(pairs)[Fraction(0)])
-    return tp_reduce(
-        TreePair(forest_from_cuts(dom_cuts), forest_from_cuts(ran_cuts), offset)
-    )
+        raise NotInStab(reduce(e))
+    domain = central_skeleton(e.domain.forest)[0]
+    range_, flags = central_skeleton(e.range.forest)
+    return tp_reduce(TreePair(domain, range_, sum(flags[:e.offset])))
 
 
 # -- factorization over the images of the rearrangement generators ----------

@@ -4,15 +4,20 @@ Letters are a, b, g, d; a trailing apostrophe marks an inverse.  The
 leftmost letter is applied last.  ``decompose`` undoes an element in three
 moves: transport the image of the central gap back to the center, kill the
 induced boundary action with a rigid-stabilizer element, then split what
-remains into pieces supported behind single central arcs and recurse.
+remains into pieces supported behind single central arcs and recurse.  The
+pieces are cut from the forests alone: what remains fixes the central
+skeleton, so each hidden subtree hanging off it (one behind each central
+arc) is a piece of its own.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from itertools import groupby
 
-from .circle import Angle, PLCircleMap
+from .diagram import ArcDiagram, central_skeleton
 from .element import (
     Element,
     compose,
@@ -25,19 +30,10 @@ from .element import (
     reduce,
 )
 from .errors import ParseError, excerpt
-from .lamination import (
-    GapId,
-    ancestors,
-    central_label,
-    gap_color,
-    gap_depth,
-    is_central,
-)
-from .membership import recognize
+from .lamination import GapId, ancestors, central_label, gap_color, gap_depth
 from .thompson import (
     TreePair,
     factor_t,
-    forest_from_cuts,
     invert_word,
     t_transporter,
     tau_inverse,
@@ -119,22 +115,6 @@ def transport_gap_to_center(gap: GapId) -> list[str]:
     return transport_gap_to_center(moved) + step
 
 
-def _splice_behind(e: Element, arc) -> Element:
-    """The element agreeing with e behind the arc and trivial elsewhere."""
-    far = arc.farside()
-    pl = e.to_pl()
-    xs = {far.lo, far.hi}
-    if not pl.is_rotation():
-        xs.update(
-            x.f for x, _ in pl.breakpoints if far.contains(x.f, strict=True)
-        )
-    pts = []
-    for x in sorted(xs):
-        y = pl.eval_fraction(x) if far.contains(x) else x
-        pts.append((Angle(x), Angle(y)))
-    return recognize(PLCircleMap(pts))
-
-
 def decompose(e: Element) -> list[str]:
     """A word in a, b, g, d multiplying out to the element."""
     word = free_reduce(_decompose(reduce(e)))
@@ -143,7 +123,8 @@ def decompose(e: Element) -> list[str]:
 
 
 def _arc_measure(e: Element) -> int:
-    return e.domain.arc_count() + e.range.arc_count()
+    """Arcs beyond the base arcs, on both sides: the internal nodes."""
+    return e.domain.forest.count("1") + e.range.forest.count("1")
 
 
 def _decompose(e: Element) -> list[str]:
@@ -166,35 +147,65 @@ def _decompose(e: Element) -> list[str]:
     return prefix + wg + _decompose_sections(h)
 
 
-def _decompose_sections(h: Element) -> list[str]:
-    """h fixes every central arc; split by which central arc hides support."""
-    measure = _arc_measure(h)
-    loaded = sorted(
-        {
-            ancestors(arc)[0]
-            for side in (h.domain, h.range)
-            for arc in side.arcs()
-            if not is_central(arc)
-        }
-    )
-    assert loaded, "trivial boundary action but no hidden support"
+def _runs(diagram: ArcDiagram) -> list[tuple[bool, str]]:
+    """The forest cut into maximal runs of bordering and of hidden nodes.
 
-    if len(loaded) >= 2:
+    A node borders the central gap iff its leftmost leaf does, so each leaf
+    with the internal nodes just before it ('1*0') takes the leaf's flag.
+    The hidden runs are the subtrees hanging off the central skeleton, one
+    behind each central arc ("slots"), left to right; runs alternate,
+    starting with a bordering one.
+    """
+    segments = zip(central_skeleton(diagram.forest)[1], re.findall("1*0", diagram.forest))
+    return [
+        (border, "".join(text for _, text in run))
+        for border, run in groupby(segments, key=lambda pair: pair[0])
+    ]
+
+
+def _sections(h: Element) -> list[tuple[int, Element]]:
+    """For each slot that h moves, left to right: the number of skeleton
+    leaves before it, and the piece of h behind it.
+
+    h fixes the central skeleton, so its domain and range share the
+    bordering runs and slot i goes onto slot i.  A piece keeps one slot on
+    both sides, collapses the others to leaves, and has offset 0.
+    """
+    dom, ran = _runs(h.domain), _runs(h.range)
+    assert [r for r in dom if r[0]] == [r for r in ran if r[0]], "skeleton moved"
+    out = []
+    before = 0
+    for i, ((border, d), (_, r)) in enumerate(zip(dom, ran)):
+        if border:
+            before += d.count("0")
+        elif (d, r) != ("0", "0"):
+            domain, range_ = (
+                "".join(text if b or k == i else "0" for k, (b, text) in enumerate(runs))
+                for runs in (dom, ran)
+            )
+            out.append((before, Element(ArcDiagram(domain), ArcDiagram(range_), 0)))
+    return out
+
+
+def _decompose_sections(h: Element) -> list[str]:
+    """h fixes every central arc; split it by the slots it moves."""
+    measure = _arc_measure(h)
+    sections = _sections(h)
+    assert sections, "trivial boundary action but no hidden support"
+
+    if len(sections) >= 2:
         out: list[str] = []
-        for bounding in loaded:
-            piece = _splice_behind(h, bounding)
+        for _, piece in sections:
             assert _arc_measure(piece) < measure, "section failed to shrink"
             out.extend(_decompose(piece))
         return out
 
-    # a single loaded section: rotate it to the arc at label 0, pull it
+    # a single loaded slot: rotate it behind the arc at label 0, pull it
     # one level toward the center with the swap generator, recurse
-    bounding = loaded[0]
-    labels = sorted(central_label(a) for a in h.domain.arcs() if is_central(a))
-    m = len(labels)
-    j = (m - labels.index(central_label(bounding))) % m
+    forest = central_skeleton(h.domain.forest)[0]
+    m = forest.count("0")
+    j = (m - sections[0][0]) % m
     if j:
-        forest = forest_from_cuts(labels)
         rot = tau_inverse(TreePair(forest, forest, j))
         w_rot = _bgd_to_word(factor_t(TreePair(forest, forest, j)))
         k = reduce(compose(compose(rot, h), inverse(rot)))

@@ -122,8 +122,9 @@ def test_parse_errors_are_short(capsys):
         ["tau", "--inverse", "--treepair", f"[{junk}]"],
         ["reduce", "--element", f"[.,.,.,. ; .,.,.,. ; {junk}]"],
         ["render", "--diagram", ".,.,.,(" + ".," * 100_000 + ".)"],
+        ["random", "--seed", junk, "--length", "1"],
     ]:
-        assert main(argv) == 1, argv[:2]
+        assert exit_code(argv) == 1, argv[:2]
         err = capsys.readouterr().err
         assert 0 < len(err.encode()) < 300, argv[:2]
 

@@ -9,6 +9,7 @@ from basilica.diagram import (
     ARITY,
     ArcDiagram,
     base_diagram,
+    central_skeleton,
     forest_carets,
     forest_collapse,
     forest_expand,
@@ -28,6 +29,7 @@ from basilica.lamination import (
     central_label,
     is_central,
 )
+from basilica.thompson import forest_cuts
 
 from test_lamination import all_arcs
 
@@ -76,32 +78,29 @@ def test_expand_adds_primary_arc():
 
 
 def test_leaf_contexts_match_ancestor_computation():
-    # a leaf borders the central gap iff its context carries a label interval
+    # a leaf borders the central gap iff no arc has the leaf behind it
     rng = random.Random(6)
     for _ in range(20):
         d = random_diagram(rng, rng.randrange(10))
-        for info in d.leaves():
-            if info.behind is not None:
-                assert info.labels is None
-                far = info.behind.farside()
-                assert far.contains(info.interval.lo)
-                assert far.contains(info.interval.hi)
-            else:
-                d1, d2 = info.labels
-                assert 0 <= d1 < d2 <= 1
+        _, flags = central_skeleton(d.forest)
+        assert len(flags) == d.leaf_count()
+        for interval, border in zip(d.leaves(), flags):
+            behind = any(
+                arc.farside().contains(interval.lo) and arc.farside().contains(interval.hi)
+                for arc in d.arcs()
+            )
+            assert border != behind
 
 
 def test_central_adjacent_labels_are_arc_labels():
     rng = random.Random(7)
     for _ in range(12):
         d = random_diagram(rng, rng.randrange(10))
-        cuts = [
-            info.labels[0] for info in d.leaves() if info.labels is not None
-        ]
+        skeleton, _ = central_skeleton(d.forest)
         arcs = sorted(
             central_label(a) for a in d.arcs() if is_central(a)
         )
-        assert sorted(cuts) == arcs
+        assert forest_cuts(skeleton) == arcs
 
 
 def test_minimal_diagram_containing():

@@ -2,18 +2,25 @@ import random
 
 import pytest
 
+from basilica.circle import PLCircleMap
 from basilica.element import (
     compose,
     equal,
+    expand_pair,
     generator,
     identity,
+    image_of_arc,
     image_of_gap,
     inverse,
+    is_in_rist,
+    is_in_stab,
     reduce,
 )
 from basilica.errors import ParseError
-from basilica.lamination import GapId, gap_depth
+from basilica.lamination import GapId, ancestors, central_label, gap_depth, is_central
+from basilica.thompson import boundary_action, tau_inverse, tp_to_pl
 from basilica.words import (
+    _sections,
     abelianize,
     decompose,
     eval_word,
@@ -120,3 +127,60 @@ def test_alpha_parity_of_decompositions():
         word = decompose(e)
         parity = sum(1 for letter in word if letter[0] == "a") % 2
         assert parity == abelianize(e)
+
+
+def behind(h, arc):
+    """The PL map agreeing with h on the farside of the arc, trivial elsewhere."""
+    far, pl = arc.farside(), h.to_pl()
+    xs = {far.lo, far.hi} | {x.f for x, _ in pl.breakpoints}
+    return PLCircleMap([(x, pl.eval_fraction(x) if far.contains(x) else x) for x in sorted(xs)])
+
+
+def test_skeleton_paths_match_pl_paths():
+    # the central-skeleton predicates, boundary action and decompose pieces
+    # against the PL map and the dyadic labels of the arcs; w d w d moves
+    # two slots where w moves one, so half the words take that form; a
+    # repeated element is checked once
+    rng = random.Random(7)
+    seen = set()
+    stab = rist = split = 0
+    for _ in range(3000):
+        word = random_word(rng.randrange(10 ** 6), rng.randrange(5))
+        if rng.random() < 0.5:
+            word += ["d"] + word + ["d"]
+        e = eval_word(word)
+        if e in seen:
+            continue
+        seen.add(e)
+        in_stab = image_of_gap(e, GapId.central()) == GapId.central()
+        assert is_in_stab(e) == in_stab
+        assert is_in_stab(expand_pair(e, rng.randrange(e.leaf_count()))) == in_stab
+        in_rist = all(is_central(a) for a in e.domain.arcs() | e.range.arcs())
+        assert is_in_rist(e) == in_rist
+        if not in_stab:
+            continue
+        stab += 1
+        rist += in_rist
+        pairs = [
+            (central_label(a), central_label(image_of_arc(e, a)))
+            for a in e.domain.arcs()
+            if is_central(a)
+        ]
+        assert tp_to_pl(boundary_action(e)) == PLCircleMap(pairs)
+        h = reduce(compose(inverse(tau_inverse(boundary_action(e))), e))
+        if h == identity():
+            continue
+        product = identity()
+        sections = _sections(h)
+        split += len(sections) > 1
+        for _, piece in sections:
+            bounding = {
+                ancestors(a)[0]
+                for a in piece.domain.arcs() | piece.range.arcs()
+                if not is_central(a)
+            }
+            assert len(bounding) == 1
+            assert piece.to_pl() == behind(h, bounding.pop())
+            product = compose(product, piece)
+        assert product == h
+    assert len(seen) > 600 and stab > 250 and rist > 150 and split > 8
