@@ -1,12 +1,14 @@
 """Exact arithmetic on the circle R/Z and piecewise-linear circle maps.
 
 Points live on the grid k/(3*2^n): every denominator is 2^a or 3*2^a.
-Piecewise-linear maps are stored as breakpoint lists only; slopes are
-recomputed on demand, never stored.
+Piecewise-linear maps are stored as breakpoint lists; the lift of the
+breakpoints to the real line is built once per map, on first use, and
+evaluation bisects it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,7 +89,7 @@ class PLCircleMap:
     kept as the single synthetic breakpoint (0, rotation(0)).
     """
 
-    __slots__ = ("breakpoints",)
+    __slots__ = ("breakpoints", "_lifted")
 
     def __init__(self, breakpoints, prune: bool = True):
         pts = sorted(((Angle(_frac(x)), Angle(_frac(y))) for x, y in breakpoints), key=lambda p: p[0].f)
@@ -99,27 +101,19 @@ class PLCircleMap:
         if prune:
             pts = _prune(pts)
         self.breakpoints = tuple(pts)
+        self._lifted = None
 
     # -- structure -------------------------------------------------------
 
     def lifted(self):
-        """Breakpoints lifted to strictly increasing reals over one period.
+        """Breakpoints lifted to strictly increasing reals over one period,
+        built on first use.
 
         Returns (xs, ys) with len n+1; xs[n] = xs[0]+1, ys[n] = ys[0]+1.
         """
-        pts = self.breakpoints
-        xs = [p[0].f for p in pts]
-        ys = [pts[0][1].f]
-        for i in range(1, len(pts)):
-            step = mod1(pts[i][1].f - pts[i - 1][1].f)
-            if step == 0:
-                raise ValueError("breakpoint images not strictly increasing")
-            ys.append(ys[-1] + step)
-        xs.append(xs[0] + 1)
-        ys.append(ys[0] + 1)
-        if ys[-1] <= ys[-2]:
-            raise ValueError("breakpoint images wrap more than once")
-        return xs, ys
+        if self._lifted is None:
+            self._lifted = _lift(self.breakpoints)
+        return self._lifted
 
     def slopes(self):
         xs, ys = self.lifted()
@@ -144,11 +138,9 @@ class PLCircleMap:
         xs, ys = self.lifted()
         if t < xs[0]:
             t += 1
-        for i in range(len(xs) - 1):
-            if xs[i] <= t <= xs[i + 1]:
-                slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-                return mod1(ys[i] + slope * (t - xs[i]))
-        raise AssertionError("lift does not cover the period")
+        i = bisect_right(xs, t) - 1
+        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+        return mod1(ys[i] + slope * (t - xs[i]))
 
     def __call__(self, t: Angle) -> Angle:
         return Angle(self.eval_fraction(t.f))
@@ -181,33 +173,35 @@ def _check_monotone(pts):
         raise ValueError("map is not degree one")
 
 
+def _lift(pts):
+    """(xs, ys) of the breakpoints lifted to strictly increasing reals; see
+    ``PLCircleMap.lifted``."""
+    xs = [p[0].f for p in pts]
+    ys = [pts[0][1].f]
+    for i in range(1, len(pts)):
+        step = mod1(pts[i][1].f - pts[i - 1][1].f)
+        if step == 0:
+            raise ValueError("breakpoint images not strictly increasing")
+        ys.append(ys[-1] + step)
+    xs.append(xs[0] + 1)
+    ys.append(ys[0] + 1)
+    if ys[-1] <= ys[-2]:
+        raise ValueError("breakpoint images wrap more than once")
+    return tuple(xs), tuple(ys)
+
+
 def _prune(pts):
-    """Drop breakpoints where the left and right slopes agree."""
-    if len(pts) == 1:
-        x, y = pts[0]
-        rot = Angle(y.f - x.f)
-        return [(Angle(Fraction(0)), rot)]
-    while len(pts) > 1:
-        xs = [p[0].f for p in pts] + [pts[0][0].f + 1]
-        ys = [pts[0][1].f]
-        for i in range(1, len(pts)):
-            ys.append(ys[-1] + mod1(pts[i][1].f - pts[i - 1][1].f))
-        ys.append(ys[0] + 1)
-        n = len(pts)
-        removable = None
-        for i in range(n):
-            # slope to the left of breakpoint i vs to the right
-            lx0, lx1 = xs[i - 1] if i else xs[n - 1] - 1, xs[i]
-            ly0, ly1 = ys[i - 1] if i else ys[n - 1] - 1, ys[i]
-            left = (ly1 - ly0) / (lx1 - lx0)
-            right = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-            if left == right:
-                removable = i
-                break
-        if removable is None:
-            return pts
-        pts = pts[:removable] + pts[removable + 1 :]
-    # everything pruned: pure rotation, anchor at 0
+    """Drop breakpoints where the left and right slopes agree.
+
+    One pass suffices: dropping a collinear point leaves the slopes on
+    both sides of every other point as they were.
+    """
+    xs, ys = _lift(pts)
+    slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(pts))]
+    kept = [p for i, p in enumerate(pts) if slopes[i - 1] != slopes[i]]
+    if kept:
+        return kept
+    # no slope changes: a pure rotation, anchored at 0
     x, y = pts[0]
     return [(Angle(Fraction(0)), Angle(y.f - x.f))]
 

@@ -35,14 +35,6 @@ class StandardInterval:
     def endpoints(self) -> tuple[Angle, Angle]:
         return Angle(self.lo), Angle(self.hi)
 
-    def contains(self, t: Fraction, strict: bool = False) -> bool:
-        t = mod1(t)
-        if t < self.lo:
-            t += 1
-        if strict:
-            return self.lo < t < self.lo + self.length
-        return self.lo <= t <= self.lo + self.length
-
     def __str__(self) -> str:
         return f"[{Angle(self.lo)},{Angle(self.hi)}]"
 

@@ -3,16 +3,19 @@
 A map belongs to the group iff its slopes are powers of two, its
 breakpoints are arc endpoints, and after refining the base diagram far
 enough every leaf maps affinely onto a standard interval with arcs going
-to arcs.  The checks below run in that order and report the first
-obstruction found.
+to arcs.  ``recognize`` checks, in this order and reporting the first
+obstruction found: the slopes, the breakpoints, the images of the two
+base arcs, and then, after one preorder walk has refined the base
+diagram, the images of the other arcs and of the leaves.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .circle import Angle, PLCircleMap, mod1
-from .diagram import base_diagram, minimal_diagram_containing
+from .diagram import ArcDiagram, minimal_diagram_containing
 from .element import Element, make, reduce
 from .errors import (
     ArcNotPreserved,
@@ -22,7 +25,14 @@ from .errors import (
     SlopeNotPowerOfTwo,
     UnsupportedDenominator,
 )
-from .lamination import BASE_ARC_HALF, BASE_ARC_ZERO, arc_from_endpoints, is_standard
+from .lamination import (
+    BASE_ARC_HALF,
+    BASE_ARC_ZERO,
+    arc_from_endpoints,
+    base_intervals,
+    is_standard,
+    subdivide,
+)
 
 
 def _is_pow2(n: int) -> bool:
@@ -67,6 +77,9 @@ def recognize(f: PLCircleMap) -> Element:
         except NotAnArc:
             raise BreakpointNotArcEndpoint(Angle(x))
 
+    # arcs first, so that e.g. an off-family rotation reports the arc it breaks
+    image_arcs = [_image_arc(f, arc) for arc in (BASE_ARC_HALF, BASE_ARC_ZERO)]
+
     # depth bound: a member map carries some finite diagram, whose leaves are
     # no finer than the 2-parts of the breakpoint and offset denominators plus
     # the slope range allow.  Expanding below that cannot be needed, so any
@@ -80,35 +93,27 @@ def recognize(f: PLCircleMap) -> Element:
         s_max = max(s_max, abs(slope.numerator.bit_length() - slope.denominator.bit_length()))
     threshold = Fraction(1, 3 * 2 ** (m_exp + s_max))
 
-    domain = base_diagram()
-    while True:
-        target = None
-        for i, iv in enumerate(domain.leaves()):
-            if any(iv.contains(x, strict=True) for x in bps):
-                target = i
-                break
-            if iv.length > threshold and not is_standard(
-                f.eval_fraction(iv.lo), f.eval_fraction(iv.hi)
-            ):
-                target = i
-                break
-        if target is None:
-            break
-        domain = domain.expand_at(target)
+    # one preorder walk: an interval is refined iff a breakpoint lies strictly
+    # inside it, or it is above the depth bound and its image is not standard.
+    # The test reads only the interval, so the walk builds the same forest as
+    # refining the first such leaf of the diagram until none is left.
+    cuts = sorted(bps + [x + 1 for x in bps]) + [2]  # 2 lies past every interval
+    forest = []
+    stack = list(base_intervals()[::-1])
+    while stack:
+        iv = stack.pop()
+        if cuts[bisect_right(cuts, iv.lo)] < iv.lo + iv.length or (
+            iv.length > threshold
+            and not is_standard(f.eval_fraction(iv.lo), f.eval_fraction(iv.hi))
+        ):
+            forest.append("1")
+            stack.extend(subdivide(iv)[::-1])
+        else:
+            forest.append("0")
+    domain = ArcDiagram("".join(forest))
 
-    # arcs first, so that e.g. an off-family rotation reports the arc it breaks
-    ordered = [a for a in (BASE_ARC_HALF, BASE_ARC_ZERO)]
-    ordered += sorted(a for a in domain.arcs() if a not in ordered)
-    image_by_arc = {}
-    for arc in ordered:
-        a, b = sorted(arc.endpoints)
-        try:
-            image_by_arc[arc] = arc_from_endpoints(
-                Angle(f.eval_fraction(a.f)), Angle(f.eval_fraction(b.f))
-            )
-        except (NotAnArc, UnsupportedDenominator):
-            raise ArcNotPreserved(arc)
-    image_arcs = list(image_by_arc.values())
+    others = sorted(domain.arcs() - {BASE_ARC_HALF, BASE_ARC_ZERO})
+    image_arcs += [_image_arc(f, arc) for arc in others]
 
     for iv in domain.leaves():
         if not is_standard(f.eval_fraction(iv.lo), f.eval_fraction(iv.hi)):
@@ -122,6 +127,15 @@ def recognize(f: PLCircleMap) -> Element:
     e = make(domain, range_, offset)
     assert e.to_pl() == f, "reconstructed diagram disagrees with input map"
     return reduce(e)
+
+
+def _image_arc(f: PLCircleMap, arc):
+    """The arc that f carries the given arc onto, or ArcNotPreserved."""
+    a, b = sorted(arc.endpoints)
+    try:
+        return arc_from_endpoints(Angle(f.eval_fraction(a.f)), Angle(f.eval_fraction(b.f)))
+    except (NotAnArc, UnsupportedDenominator):
+        raise ArcNotPreserved(arc)
 
 
 def _endpoint_partner_arc(x: Fraction):

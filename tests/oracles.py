@@ -2,12 +2,25 @@
 
 Everything here is deliberately naive: the lamination is grown by
 iterated preimages under angle doubling, with the correct preimage
-pairing selected by planarity alone.
+pairing selected by planarity alone; PL maps are evaluated by a linear
+scan, and membership refines one leaf at a time, rescanning from leaf 0.
 """
 
 from fractions import Fraction
 
-from basilica.circle import mod1
+from basilica.circle import Angle, mod1
+from basilica.diagram import base_diagram, minimal_diagram_containing
+from basilica.element import make, reduce
+from basilica.errors import (
+    ArcNotPreserved,
+    BreakpointNotArcEndpoint,
+    ImageNotStandard,
+    NotAnArc,
+    SlopeNotPowerOfTwo,
+    UnsupportedDenominator,
+)
+from basilica.lamination import BASE_ARC_HALF, BASE_ARC_ZERO, arc_from_endpoints, is_standard
+from basilica.membership import _endpoint_partner_arc
 
 SEED_LEAF = frozenset((Fraction(1, 3), Fraction(2, 3)))
 
@@ -62,3 +75,92 @@ def preimage_closure(levels: int) -> set:
         frontier = new - leaves
         leaves |= new
     return leaves
+
+
+# -- PL evaluation and membership by the plain rescan ------------------------
+
+def eval_linear(f, t: Fraction) -> Fraction:
+    """Image of t under the PL map f, by a linear scan of its lift."""
+    t = mod1(Fraction(t))
+    xs, ys = f.lifted()
+    if t < xs[0]:
+        t += 1
+    for i in range(len(xs) - 1):
+        if xs[i] <= t <= xs[i + 1]:
+            slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+            return mod1(ys[i] + slope * (t - xs[i]))
+    raise AssertionError("lift does not cover the period")
+
+
+def _strictly_inside(interval, t: Fraction) -> bool:
+    t = mod1(t)
+    if t < interval.lo:
+        t += 1
+    return interval.lo < t < interval.lo + interval.length
+
+
+def recognize_by_rescan(f):
+    """``membership.recognize`` as a loop that refines the first leaf needing
+    it and rescans from leaf 0, one leaf at a time; the base arcs are tested
+    before any refinement.  Returns the reduced element or raises the same
+    rejection."""
+    def image(t):
+        return eval_linear(f, t)
+
+    def pow2(n):
+        return n > 0 and n & (n - 1) == 0
+
+    def two_exponent(den):
+        return (den & -den).bit_length() - 1
+
+    segments = f.segments()
+    for _, _, _, slope in segments:
+        if not (pow2(slope.numerator) and pow2(slope.denominator)):
+            raise SlopeNotPowerOfTwo(slope)
+    bps = [] if f.is_rotation() else [x.f for x, _ in f.breakpoints]
+    for x in bps:
+        try:
+            _endpoint_partner_arc(x)
+        except NotAnArc:
+            raise BreakpointNotArcEndpoint(Angle(x))
+
+    def image_arc(arc):
+        a, b = sorted(arc.endpoints)
+        try:
+            return arc_from_endpoints(Angle(image(a.f)), Angle(image(b.f)))
+        except (NotAnArc, UnsupportedDenominator):
+            raise ArcNotPreserved(arc)
+
+    image_by_arc = {arc: image_arc(arc) for arc in (BASE_ARC_HALF, BASE_ARC_ZERO)}
+
+    m_exp = s_max = 0
+    for x_lo, _, y_lo, slope in segments:
+        c = mod1(y_lo - slope * x_lo)
+        m_exp = max(m_exp, two_exponent(mod1(x_lo).denominator), two_exponent(c.denominator))
+        s_max = max(s_max, abs(slope.numerator.bit_length() - slope.denominator.bit_length()))
+    threshold = Fraction(1, 3 * 2 ** (m_exp + s_max))
+
+    domain = base_diagram()
+    while True:
+        target = None
+        for i, iv in enumerate(domain.leaves()):
+            if any(_strictly_inside(iv, x) for x in bps) or (
+                iv.length > threshold and not is_standard(image(iv.lo), image(iv.hi))
+            ):
+                target = i
+                break
+        if target is None:
+            break
+        domain = domain.expand_at(target)
+
+    for arc in sorted(domain.arcs()):
+        if arc not in image_by_arc:
+            image_by_arc[arc] = image_arc(arc)
+    for iv in domain.leaves():
+        if not is_standard(image(iv.lo), image(iv.hi)):
+            raise ImageNotStandard(iv)
+    range_ = minimal_diagram_containing(image_by_arc.values())
+    if range_.leaf_count() != domain.leaf_count():
+        raise ImageNotStandard(f)
+    offset = range_.boundary_points().index(Angle(image(domain.leaves()[0].lo)))
+    return reduce(make(domain, range_, offset))

@@ -13,6 +13,9 @@ from basilica.circle import (
     rotation,
 )
 from basilica.errors import ParseError, UnsupportedDenominator
+from basilica.words import random_element
+
+from oracles import eval_linear
 
 
 def cyclic_between(a: Angle, b: Angle, c: Angle) -> bool:
@@ -107,3 +110,28 @@ def test_format_parse_roundtrip():
     f = parse_pl("1/3:1/6,2/3:5/6")
     assert parse_pl(str(f)) == f
     assert str(rotation(Fraction(0))) == "0:0"
+
+
+def random_maps(seed, count):
+    """Maps of random products of the generators, and rotations by k/24."""
+    rng = random.Random(seed)
+    maps = [random_element(rng.randrange(10 ** 6), rng.randrange(1, 9)).to_pl() for _ in range(count)]
+    return maps + [rotation(Fraction(k, 24)) for k in range(24)]
+
+
+def test_padding_with_collinear_points_keeps_breakpoints():
+    rng = random.Random(14)
+    for f in random_maps(15, 30):
+        xs = {x for x, _ in f.breakpoints}
+        pad = {Angle(Fraction(rng.randrange(3 * 2 ** 7), 3 * 2 ** 7)) for _ in range(rng.randrange(1, 12))}
+        pts = list(f.breakpoints) + [(x, f(x)) for x in pad - xs]
+        assert PLCircleMap(pts).breakpoints == f.breakpoints
+
+
+def test_bisect_evaluation_matches_linear_scan():
+    for f in random_maps(16, 30):
+        xs = [x.f for x, _ in f.breakpoints]
+        points = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:] + [xs[0] + 1])]
+        points += [Fraction(k, 48) for k in range(48)]
+        for t in points:
+            assert f.eval_fraction(t) == eval_linear(f, t)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from basilica.circle import Angle
+from basilica.circle import Angle, mod1
 from basilica.diagram import (
     ARITY,
     ArcDiagram,
@@ -77,6 +77,14 @@ def test_expand_adds_primary_arc():
         d.expand_at(6)
 
 
+def contains(interval, t):
+    """Does the closed ccw interval contain the point t (mod 1)?"""
+    t = mod1(t)
+    if t < interval.lo:
+        t += 1
+    return interval.lo <= t <= interval.lo + interval.length
+
+
 def test_leaf_contexts_match_ancestor_computation():
     # a leaf borders the central gap iff no arc has the leaf behind it
     rng = random.Random(6)
@@ -86,7 +94,7 @@ def test_leaf_contexts_match_ancestor_computation():
         assert len(flags) == d.leaf_count()
         for interval, border in zip(d.leaves(), flags):
             behind = any(
-                arc.farside().contains(interval.lo) and arc.farside().contains(interval.hi)
+                contains(arc.farside(), interval.lo) and contains(arc.farside(), interval.hi)
                 for arc in d.arcs()
             )
             assert border != behind

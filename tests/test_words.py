@@ -33,6 +33,7 @@ from basilica.words import (
     transport_gap_to_center,
 )
 
+from test_diagram import contains
 from test_lamination import all_arcs
 
 
@@ -133,7 +134,7 @@ def behind(h, arc):
     """The PL map agreeing with h on the farside of the arc, trivial elsewhere."""
     far, pl = arc.farside(), h.to_pl()
     xs = {far.lo, far.hi} | {x.f for x, _ in pl.breakpoints}
-    return PLCircleMap([(x, pl.eval_fraction(x) if far.contains(x) else x) for x in sorted(xs)])
+    return PLCircleMap([(x, pl.eval_fraction(x) if contains(far, x) else x) for x in sorted(xs)])
 
 
 def test_skeleton_paths_match_pl_paths():
