@@ -17,9 +17,9 @@ from .errors import ParseError, excerpt
 from .lamination import (
     BASE_ARC_HALF,
     BASE_ARC_ZERO,
+    BASE_INTERVALS,
     StandardInterval,
-    base_intervals,
-    defining_path,
+    parent,
     primary_arc,
     subdivide,
 )
@@ -44,7 +44,7 @@ class ArcDiagram:
     def leaves(self) -> tuple[StandardInterval, ...]:
         if self._leaves is None:
             out: list[StandardInterval] = []
-            stack = list(base_intervals()[::-1])
+            stack = list(BASE_INTERVALS[::-1])
             for node in self.forest:
                 interval = stack.pop()
                 if node == "0":
@@ -64,7 +64,7 @@ class ArcDiagram:
     def arcs(self) -> frozenset:
         if self._arcs is None:
             found = {BASE_ARC_HALF, BASE_ARC_ZERO}
-            stack = list(base_intervals()[::-1])
+            stack = list(BASE_INTERVALS[::-1])
             for node in self.forest:
                 interval = stack.pop()
                 if node == "1":
@@ -105,24 +105,21 @@ def base_diagram() -> ArcDiagram:
 
 
 def minimal_diagram_containing(arcs) -> ArcDiagram:
-    """The inclusion-minimal diagram whose arc set contains the given arcs."""
-    internal = set()  # (base index, child-index path) of every internal node
+    """The inclusion-minimal diagram whose arc set contains the given arcs:
+    every interval on the parent chain of an arc's farside is internal."""
+    internal = set()
     for arc in arcs:
-        if arc in (BASE_ARC_HALF, BASE_ARC_ZERO):
-            continue
-        base, path = defining_path(arc)
-        for k in range(len(path), -1, -1):
-            if (base, path[:k]) in internal:
-                break
-            internal.add((base, path[:k]))
+        interval = parent(arc.farside())
+        while interval is not None and interval not in internal:
+            internal.add(interval)
+            interval = parent(interval)
     out = []
-    stack = [(base, ()) for base in (3, 2, 1, 0)]
+    stack = list(BASE_INTERVALS[::-1])
     while stack:
-        node = stack.pop()
-        if node in internal:
+        interval = stack.pop()
+        if interval in internal:
             out.append("1")
-            base, path = node
-            stack.extend((base, path + (child,)) for child in range(ARITY - 1, -1, -1))
+            stack.extend(subdivide(interval)[::-1])
         else:
             out.append("0")
     return ArcDiagram("".join(out))

@@ -2,38 +2,48 @@
 
 Arcs (leaves) are generated from the base pair {1/3,2/3}, {1/6,5/6} by
 repeated 1:2:1 subdivision of standard intervals; each non-base arc is the
-primary arc of exactly one standard interval.  An arc is stored by its
-canonical index (level n, index k), and nesting, central labels and
-defining intervals are integer arithmetic on (n, k).  Gaps are the
-complementary regions: the central gap plus one gap behind each arc.
+primary arc of exactly one standard interval.  Arcs and standard intervals
+share one canonical index (level n, index k), and subdivision, its inverse
+``parent``, nesting and central labels are integer arithmetic on (n, k).
+Gaps are the complementary regions: the central gap plus one gap behind
+each arc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import NamedTuple
 
 from .circle import Angle, mod1
 from .errors import NotAnArc, NotCentral, ParseError, excerpt
 
 
-@dataclass(frozen=True)
-class StandardInterval:
-    """Half-open ccw circle interval reachable by 1:2:1 subdivision.
+class StandardInterval(NamedTuple):
+    """Ccw circle interval reachable by 1:2:1 subdivision, indexed like arcs.
 
-    ``lo`` is normalized into [0,1); ``length`` is 1/(3*2^n).
+    (n, k) is [3k-1, 3k+1] in units of 1/(3*2^n), k taken mod 2^n: the
+    farside of Arc(n, k) is StandardInterval(n, k).  ``subdivide`` yields
+    the children and ``parent`` inverts it.  ``lo`` (in [0,1)), ``length``
+    and ``hi`` are exact Fractions for the API edge.
     """
 
-    lo: Fraction
-    length: Fraction
+    level: int
+    index: int
+
+    @property
+    def lo(self) -> Fraction:
+        d = 3 << self.level
+        return Fraction((3 * self.index - 1) % d, d)
+
+    @property
+    def length(self) -> Fraction:
+        return Fraction(2, 3 << self.level)
 
     @property
     def hi(self) -> Fraction:
-        return mod1(self.lo + self.length)
-
-    def endpoints(self) -> tuple[Angle, Angle]:
-        return Angle(self.lo), Angle(self.hi)
+        d = 3 << self.level
+        return Fraction((3 * self.index + 1) % d, d)
 
     def __str__(self) -> str:
         return f"[{Angle(self.lo)},{Angle(self.hi)}]"
@@ -68,8 +78,7 @@ class Arc:
 
     def farside(self) -> StandardInterval:
         """The ccw interval cut off on the side away from the central gap."""
-        d = 3 * 2 ** self.level
-        return StandardInterval(mod1(Fraction(3 * self.index - 1, d)), Fraction(2, d))
+        return StandardInterval(self.level, self.index)
 
     def __str__(self) -> str:
         a, b = sorted(self.endpoints)
@@ -93,66 +102,42 @@ def arc_from_endpoints(a: Angle, b: Angle) -> Arc:
     raise NotAnArc(f"{witness} is not in the arc family", witness)
 
 
-# -- base subdivision ------------------------------------------------------
+# -- the subdivision tree --------------------------------------------------
 
 BASE_ARC_HALF = Arc(1, 1)   # {1/3, 2/3}
 BASE_ARC_ZERO = Arc(1, 0)   # {1/6, 5/6}
 
-
-@lru_cache(maxsize=1)
-def base_intervals() -> tuple[StandardInterval, ...]:
-    """The four intervals cut by the two base arcs, ccw from [1/6,1/3]."""
-    return (
-        StandardInterval(Fraction(1, 6), Fraction(1, 6)),
-        StandardInterval(Fraction(1, 3), Fraction(1, 3)),
-        StandardInterval(Fraction(2, 3), Fraction(1, 6)),
-        StandardInterval(Fraction(5, 6), Fraction(1, 3)),
-    )
+# the four intervals cut by the two base arcs, ccw from [1/6,1/3]
+BASE_INTERVALS = tuple(StandardInterval(n, k) for n, k in ((2, 1), (1, 1), (2, 3), (1, 0)))
 
 
-@lru_cache(maxsize=None)
 def primary_arc(interval: StandardInterval) -> Arc:
     """The arc subdividing the interval in ratio 1:2:1."""
-    quarter = interval.length / 4
-    return arc_from_endpoints(
-        Angle(interval.lo + quarter), Angle(interval.lo + 3 * quarter)
-    )
+    n, k = interval
+    return Arc(n + 1, 2 * k)
 
 
-@lru_cache(maxsize=None)
 def subdivide(interval: StandardInterval) -> tuple[StandardInterval, ...]:
     """The three standard subintervals (quarter, half, quarter), ccw."""
-    quarter = interval.length / 4
-    lo = interval.lo
+    n, k = interval
     return (
-        StandardInterval(mod1(lo), quarter),
-        StandardInterval(mod1(lo + quarter), 2 * quarter),
-        StandardInterval(mod1(lo + 3 * quarter), quarter),
+        StandardInterval(n + 2, (4 * k - 1) % (4 << n)),
+        StandardInterval(n + 1, 2 * k),
+        StandardInterval(n + 2, 4 * k + 1),
     )
 
 
-def defining_path(arc: Arc) -> tuple[int, tuple[int, ...]]:
-    """The base interval index and the child choices that reach the
-    interval the arc subdivides; the arc must not be a base arc.
+def parent(interval: StandardInterval) -> StandardInterval | None:
+    """The interval whose subdivision has this one as a child; None on a base.
 
-    In units of 1/(3*2^n) the base intervals start at 2^(n-1), 2^n,
-    2^(n+1), 5*2^(n-1).  Interval ends are never multiples of 3, so the
-    descent follows the arc's midpoint 3k down to its length-4 interval.
+    A middle child (n, k) has even k; an outer child has odd k = 4j - 1 or 4j + 1.
     """
-    n, mid = arc.level, 3 * arc.index
-    h = 2 ** (n - 1)
-    for base, (lo, length) in enumerate(((h, h), (2 * h, 2 * h), (4 * h, h), (5 * h, 2 * h))):
-        off = (mid - lo) % (6 * h)
-        if off < length:
-            break
-    path = []
-    while length > 4:
-        q = length // 4
-        child = 0 if off < q else 1 if off < 3 * q else 2
-        off -= (0, q, 3 * q)[child]
-        length = (q, 2 * q, q)[child]
-        path.append(child)
-    return base, tuple(path)
+    n, k = interval
+    if interval in BASE_INTERVALS:
+        return None
+    if k % 2 == 0:
+        return StandardInterval(n - 1, k // 2)
+    return StandardInterval(n - 2, (k + 1) // 4 % (1 << (n - 2)))
 
 
 def is_standard(lo: Fraction, hi: Fraction) -> bool:
@@ -182,26 +167,15 @@ def farside(arc: Arc) -> StandardInterval:
 
 
 def ancestors(arc: Arc) -> list[Arc]:
-    """All arcs whose farside contains this arc's farside, outermost first.
-
-    An ancestor at level m < n is the arc j nearest to k/2^(n-m), if j is
-    in the family and its farside [(3j-1)s, (3j+1)s] (s = 2^(n-m), in
-    units of 1/(3*2^n)) contains [3k-1, 3k+1].
-    """
-    n, k = arc.level, arc.index
+    """All arcs whose farside contains this arc's farside, outermost first:
+    the arc farsides (even index, or level 1) among the interval's parents."""
     out = []
-    for m in range(1, n):
-        s = 2 ** (n - m)
-        j = (2 * k + s) // (2 * s) % 2 ** m
-        if (j % 2 == 0 or (m, j) == (1, 1)) and (
-            (3 * k - 1 - (3 * j - 1) * s) % (3 * 2 ** n) + 2 <= 2 * s
-        ):
-            out.append(Arc(m, j))
-    return out
-
-
-def is_central(arc: Arc) -> bool:
-    return not ancestors(arc)
+    interval = parent(arc.farside())
+    while interval is not None:
+        if interval.index % 2 == 0 or interval.level == 1:
+            out.append(Arc(*interval))
+        interval = parent(interval)
+    return out[::-1]
 
 
 # -- dyadic labels of central arcs ----------------------------------------

@@ -28,8 +28,8 @@ from .errors import (
 from .lamination import (
     BASE_ARC_HALF,
     BASE_ARC_ZERO,
+    BASE_INTERVALS,
     arc_from_endpoints,
-    base_intervals,
     is_standard,
     subdivide,
 )
@@ -91,7 +91,7 @@ def recognize(f: PLCircleMap) -> Element:
         for q in (x_lo, c):
             m_exp = max(m_exp, _two_exponent(mod1(q).denominator))
         s_max = max(s_max, abs(slope.numerator.bit_length() - slope.denominator.bit_length()))
-    threshold = Fraction(1, 3 * 2 ** (m_exp + s_max))
+    max_level = m_exp + s_max  # deepest level longer than 1/(3*2^(m_exp+s_max))
 
     # one preorder walk: an interval is refined iff a breakpoint lies strictly
     # inside it, or it is above the depth bound and its image is not standard.
@@ -99,12 +99,14 @@ def recognize(f: PLCircleMap) -> Element:
     # refining the first such leaf of the diagram until none is left.
     cuts = sorted(bps + [x + 1 for x in bps]) + [2]  # 2 lies past every interval
     forest = []
-    stack = list(base_intervals()[::-1])
+    stack = list(BASE_INTERVALS[::-1])
     while stack:
         iv = stack.pop()
-        if cuts[bisect_right(cuts, iv.lo)] < iv.lo + iv.length or (
-            iv.length > threshold
-            and not is_standard(f.eval_fraction(iv.lo), f.eval_fraction(iv.hi))
+        lo = iv.lo
+        hi = lo + iv.length
+        if cuts[bisect_right(cuts, lo)] < hi or (
+            iv.level <= max_level
+            and not is_standard(f.eval_fraction(lo), f.eval_fraction(hi))
         ):
             forest.append("1")
             stack.extend(subdivide(iv)[::-1])

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: the lamination is grown by
 iterated preimages under angle doubling, with the correct preimage
-pairing selected by planarity alone; PL maps are evaluated by a linear
+pairing selected by planarity alone; standard intervals are cut at their
+quarter points as (lo, length) Fractions; PL maps are evaluated by a linear
 scan, and membership refines one leaf at a time, rescanning from leaf 0.
 """
 
@@ -75,6 +76,42 @@ def preimage_closure(levels: int) -> set:
         frontier = new - leaves
         leaves |= new
     return leaves
+
+
+# -- standard intervals as (lo, length) Fractions -----------------------------
+
+BASE_SPANS = (
+    (Fraction(1, 6), Fraction(1, 6)),
+    (Fraction(1, 3), Fraction(1, 3)),
+    (Fraction(2, 3), Fraction(1, 6)),
+    (Fraction(5, 6), Fraction(1, 3)),
+)
+
+
+def subdivide_by_quarters(lo: Fraction, length: Fraction) -> tuple:
+    """The three subintervals (quarter, half, quarter), ccw, as (lo, length)."""
+    quarter = length / 4
+    return (
+        (mod1(lo), quarter),
+        (mod1(lo + quarter), 2 * quarter),
+        (mod1(lo + 3 * quarter), quarter),
+    )
+
+
+def primary_arc_by_quarters(lo: Fraction, length: Fraction):
+    """The arc joining the interval's first and third quarter points."""
+    quarter = length / 4
+    return arc_from_endpoints(Angle(lo + quarter), Angle(lo + 3 * quarter))
+
+
+def minimal_diagram_by_expansion(arc):
+    """Expand the leaf holding the arc's farside midpoint until the arc shows."""
+    far = arc.farside()
+    mid = far.lo + far.length / 2
+    d = base_diagram()
+    while arc not in d.arcs():
+        d = d.expand_at(next(i for i, iv in enumerate(d.leaves()) if _strictly_inside(iv, mid)))
+    return d
 
 
 # -- PL evaluation and membership by the plain rescan ------------------------

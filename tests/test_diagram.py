@@ -22,16 +22,17 @@ from basilica.diagram import (
 )
 from basilica.errors import ParseError
 from basilica.lamination import (
+    Arc,
     BASE_ARC_HALF,
     BASE_ARC_ZERO,
     ancestors,
     arc_from_endpoints,
     central_label,
-    is_central,
 )
 from basilica.thompson import forest_cuts
 
-from test_lamination import all_arcs
+from oracles import minimal_diagram_by_expansion
+from test_lamination import all_arcs, is_central
 
 
 def A(p, q):
@@ -131,6 +132,22 @@ def test_minimal_diagram_of_one_arc_has_one_caret():
         # the base arcs sit in the base diagram, which has no caret
         base = arc in (BASE_ARC_HALF, BASE_ARC_ZERO)
         assert len(forest_carets(d.forest, ARITY)) == (0 if base else 1)
+
+
+def test_minimal_diagram_is_union_of_single_arc_diagrams():
+    rng = random.Random(18)
+    single = {}
+    for _ in range(200):
+        arcs = [BASE_ARC_HALF] if rng.random() < 0.1 else []
+        for n in (rng.randint(1, 12) for _ in range(rng.randint(1, 6))):
+            arcs.append(Arc(n, 2 * rng.randrange(2 ** (n - 1))))
+        union = base_diagram().forest
+        for arc in arcs:
+            if arc not in single:
+                single[arc] = minimal_diagram_by_expansion(arc)
+                assert minimal_diagram_containing([arc]) == single[arc]
+            union = forest_merge(union, single[arc].forest, ARITY)[0]
+        assert minimal_diagram_containing(arcs).forest == union
 
 
 def test_minimal_diagram_includes_ancestors():

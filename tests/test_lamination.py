@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from basilica.circle import Angle
+from basilica.circle import Angle, mod1
 from basilica.errors import NotAnArc, NotCentral
 from basilica.lamination import (
     Arc,
     BASE_ARC_HALF,
     BASE_ARC_ZERO,
+    BASE_INTERVALS,
     GapId,
     ancestors,
     arc_for_label,
@@ -16,18 +18,30 @@ from basilica.lamination import (
     double_arc,
     gap_color,
     gap_depth,
-    is_central,
     is_standard,
     neighbor_gap,
+    parent,
     parse_arc,
     parse_gap,
+    primary_arc,
+    subdivide,
 )
 
-from oracles import crosses, preimage_closure
+from oracles import (
+    BASE_SPANS,
+    crosses,
+    preimage_closure,
+    primary_arc_by_quarters,
+    subdivide_by_quarters,
+)
 
 
 def A(p, q):
     return Angle(Fraction(p, q))
+
+
+def is_central(arc):
+    return not ancestors(arc)
 
 
 def all_arcs(max_level):
@@ -90,6 +104,30 @@ def test_farside_is_the_short_side():
         assert far.lo in (lo, hi)
 
 
+def test_intervals_match_quarter_point_oracle():
+    # every interval to depth 7 below the base, against (lo, length) Fractions
+    assert [parent(iv) for iv in BASE_INTERVALS] == [None] * 4
+    stack = [(iv, span, 0) for iv, span in zip(BASE_INTERVALS, BASE_SPANS)]
+    seen = []
+    while stack:
+        iv, (lo, length), depth = stack.pop()
+        seen.append(iv)
+        hi = mod1(lo + length)
+        assert (iv.lo, iv.length, iv.hi) == (lo, length, hi)
+        assert str(iv) == f"[{Angle(lo)},{Angle(hi)}]"
+        assert primary_arc(iv) == primary_arc_by_quarters(lo, length)
+        if depth < 7:
+            children = subdivide(iv)
+            spans = subdivide_by_quarters(lo, length)
+            assert [(c.lo, c.length) for c in children] == list(spans)
+            for child, span in zip(children, spans):
+                assert parent(child) == iv
+                stack.append((child, span, depth + 1))
+    # the tree reaches each index (n, k) once; down to level 8 it is complete
+    assert len(set(seen)) == len(seen)
+    assert {(n, k) for n in range(1, 9) for k in range(2 ** n)} <= set(seen)
+
+
 def test_ancestors_by_hand():
     assert ancestors(BASE_ARC_HALF) == []
     assert ancestors(arc_from_endpoints(A(5, 24), A(7, 24))) == []
@@ -105,10 +143,25 @@ def test_ancestors_nesting_oracle():
         far = arc.farside()
         return far.lo, far.lo + far.length
 
-    for arc in all_arcs(8):
+    def near(arc):
+        # an arc (m, j) whose farside holds the midpoint k/2^n of this one
+        # has |j - k/2^(n-m)| <= 1/3, so j is one of the two integers beside it
+        n, k = arc.level, arc.index
+        out = {BASE_ARC_HALF}
+        for m in range(1, n):
+            j = k >> (n - m)
+            out |= {Arc(m, i % 2 ** m) for i in (j, j + 1) if i % 2 == 0}
+        return out
+
+    rng = random.Random(18)
+    deep = [Arc(n, k) for n in (9, 16, 33, 61) for k in (0, 2, 2 ** (n - 1), 2 ** n - 2)]
+    deep += [Arc(n, 2 * rng.randrange(2 ** (n - 1))) for n in range(9, 61) for _ in range(2)]
+    shallow = list(all_arcs(8))
+    for arc in shallow + deep:
         chain = ancestors(arc)
         lo, hi = span(arc)
-        for other in all_arcs(8):
+        others = shallow if arc.level <= 8 else set(shallow) | near(arc) | set(chain)
+        for other in others:
             if other == arc:
                 continue
             olo, ohi = span(other)

@@ -17,7 +17,7 @@ from basilica.element import (
     reduce,
 )
 from basilica.errors import ParseError
-from basilica.lamination import GapId, ancestors, central_label, gap_depth, is_central
+from basilica.lamination import GapId, ancestors, central_label, gap_depth
 from basilica.thompson import boundary_action, tau_inverse, tp_to_pl
 from basilica.words import (
     _sections,
@@ -34,7 +34,7 @@ from basilica.words import (
 )
 
 from test_diagram import contains
-from test_lamination import all_arcs
+from test_lamination import all_arcs, is_central
 
 
 def test_parse_and_format():
