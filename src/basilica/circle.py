@@ -46,12 +46,6 @@ class Angle:
     def denominator(self) -> int:
         return self.f.denominator
 
-    def __add__(self, other) -> "Angle":
-        return Angle(self.f + _frac(other))
-
-    def __sub__(self, other) -> "Angle":
-        return Angle(self.f - _frac(other))
-
     def __str__(self) -> str:
         return f"{self.f.numerator}/{self.f.denominator}" if self.f.denominator != 1 else str(self.f.numerator)
 
@@ -209,15 +203,6 @@ def _prune(pts):
 def rotation(amount) -> PLCircleMap:
     """Rotation by the given grid amount, stored with its synthetic breakpoint."""
     return PLCircleMap([(Fraction(0), _frac(amount))])
-
-
-def pl_eval(f: PLCircleMap, t: Angle):
-    """Exact image of t.  Returns an Angle when the image lies on the grid,
-    otherwise the raw Fraction (only possible for maps outside T_B)."""
-    result = f.eval_fraction(t.f)
-    if _on_grid(result.denominator):
-        return Angle(result)
-    return result
 
 
 def pl_inverse(f: PLCircleMap) -> PLCircleMap:

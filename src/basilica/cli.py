@@ -146,7 +146,7 @@ def main(argv=None) -> int:
     try:
         output = _run(args)
     except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {excerpt(str(exc), 100)}", file=sys.stderr)
         return 1
     except BasilicaError as exc:
         witness = "" if exc.witness is None else f" {exc.witness}"

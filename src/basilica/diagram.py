@@ -30,54 +30,65 @@ ARITY = 3
 class ArcDiagram:
     """Immutable arc diagram; always contains the two base arcs."""
 
-    __slots__ = ("forest", "_leaves", "_arcs")
+    __slots__ = ("forest", "_leaves", "_farsides")
 
     def __init__(self, forest: str):
         if forest.count("0") != (ARITY - 1) * forest.count("1") + 4:
             raise ValueError("forest must have four trees")
         object.__setattr__(self, "forest", forest)
         object.__setattr__(self, "_leaves", None)
-        object.__setattr__(self, "_arcs", None)
+        object.__setattr__(self, "_farsides", None)
 
     # -- derived structure ------------------------------------------------
 
     def leaves(self) -> tuple[StandardInterval, ...]:
+        """The leaf intervals; the same preorder walk fills ``farsides``.
+        A stacked interval carries the slot of ``ends`` that its first leaf
+        fills: a node's middle child starts its arc's farside, its right
+        child ends it (trees 1, 2 for {1/3,2/3}; trees 3, 0 for {1/6,5/6})."""
         if self._leaves is None:
-            out: list[StandardInterval] = []
-            stack = list(BASE_INTERVALS[::-1])
+            leaves: list[StandardInterval] = []
+            arcs = [BASE_ARC_HALF, BASE_ARC_ZERO]
+            ends = [0] * 4  # first, after of each arc in turn
+            stack = list(zip(BASE_INTERVALS, (3, 0, 1, 2)))[::-1]
             for node in self.forest:
-                interval = stack.pop()
+                interval, slot = stack.pop()
+                if slot is not None:
+                    ends[slot] = len(leaves)
                 if node == "0":
-                    out.append(interval)
-                else:
-                    stack.extend(subdivide(interval)[::-1])
-            object.__setattr__(self, "_leaves", tuple(out))
+                    leaves.append(interval)
+                    continue
+                slot = len(ends)
+                arcs.append(primary_arc(interval))
+                ends += (0, 0)
+                left, middle, right = subdivide(interval)
+                stack += ((right, slot + 1), (middle, slot), (left, None))
+            object.__setattr__(self, "_leaves", tuple(leaves))
+            object.__setattr__(self, "_farsides", dict(zip(zip(ends[::2], ends[1::2]), arcs)))
         return self._leaves
 
     def leaf_intervals(self) -> tuple[StandardInterval, ...]:
         return self.leaves()
+
+    def farsides(self) -> dict:
+        """Each arc keyed by the leaf positions (first, after) of its farside,
+        leaves first .. after-1 taken cyclically: the base arcs, then the
+        primary arcs of the nodes in preorder."""
+        self.leaves()
+        return self._farsides
 
     def boundary_points(self) -> tuple[Angle, ...]:
         """Left endpoints of the leaves, ccw from 1/6."""
         return tuple(Angle(interval.lo) for interval in self.leaves())
 
     def arcs(self) -> frozenset:
-        if self._arcs is None:
-            found = {BASE_ARC_HALF, BASE_ARC_ZERO}
-            stack = list(BASE_INTERVALS[::-1])
-            for node in self.forest:
-                interval = stack.pop()
-                if node == "1":
-                    found.add(primary_arc(interval))
-                    stack.extend(subdivide(interval)[::-1])
-            object.__setattr__(self, "_arcs", frozenset(found))
-        return self._arcs
+        return frozenset(self.farsides().values())
 
     def leaf_count(self) -> int:
         return self.forest.count("0")
 
     def arc_count(self) -> int:
-        return len(self.arcs())
+        return len(self.farsides())
 
     # -- operations ---------------------------------------------------------
 
@@ -274,15 +285,18 @@ def pair_compose(f, g, arity: int):
     f_domain, f_range, f_offset = f
     g_domain, g_range, g_offset = g
     mid, g_shapes, f_shapes = forest_merge(g_range, f_domain, arity)
-    # g's domain grows, leaf by leaf, what mid grows on g's range ...
-    g_domain = forest_graft(g_domain, g_shapes[g_offset:] + g_shapes[:g_offset])
-    g_offset = "".join(g_shapes[:g_offset]).count("0")
-    # ... and f's range what mid grows on f's domain
-    back = len(f_shapes) - f_offset
-    f_shapes = f_shapes[back:] + f_shapes[:back]
-    f_range = forest_graft(f_range, f_shapes)
-    f_offset = "".join(f_shapes[:f_offset]).count("0")
-    return pair_reduce(g_domain, f_range, (g_offset + f_offset) % mid.count("0"), arity)
+    # g's domain grows what mid grows on g's range, and f's range what mid
+    # grows on f's domain (f read backwards, from range to domain)
+    g_domain, g_offset = pair_graft(g_domain, g_offset, g_shapes)
+    f_range, f_back = pair_graft(f_range, -f_offset % len(f_shapes), f_shapes)
+    return pair_reduce(g_domain, f_range, (g_offset - f_back) % mid.count("0"), arity)
+
+
+def pair_graft(domain: str, offset: int, shapes):
+    """Grow a pair's domain to match the given subtrees grafted at its range
+    leaves, one per range leaf in order; returns the grown domain and offset."""
+    grown = forest_graft(domain, shapes[offset:] + shapes[:offset])
+    return grown, "".join(shapes[:offset]).count("0")
 
 
 # -- wire format -------------------------------------------------------------

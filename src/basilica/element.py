@@ -4,37 +4,34 @@ An element is a pair of arc diagrams with the same number of leaves
 together with a rotation offset: domain leaf i is carried onto range
 leaf (i + offset) mod m.  Validity requires every arc of the domain
 diagram to land on an arc of the range diagram under the induced
-boundary correspondence.
+boundary correspondence.  Arcs and gaps are carried by leaf positions:
+the farside over domain leaves first .. after-1 goes onto range leaves
+first+offset .. after+offset-1 (``ArcDiagram.farsides``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .circle import Angle, PLCircleMap, pl_eval
+from .circle import Angle, PLCircleMap
 from .diagram import (
     ARITY,
     ArcDiagram,
     base_diagram,
     central_skeleton,
+    forest_merge,
+    minimal_diagram_containing,
     pair_compose,
+    pair_graft,
     pair_reduce,
     parse_diagram,
 )
-from .errors import ArcMismatch, LeafCountMismatch, NotAnArc, ParseError, excerpt
-from .lamination import (
-    Arc,
-    BASE_ARC_HALF,
-    GapId,
-    arc_from_endpoints,
-    neighbor_gap,
-)
+from .errors import ArcMismatch, LeafCountMismatch, ParseError, excerpt
+from .lamination import Arc, BASE_ARC_HALF, GapId, neighbor_gap
 
 
 class Element:
     """An arc pair diagram (domain, range, offset)."""
 
-    __slots__ = ("domain", "range", "offset", "_pl")
+    __slots__ = ("domain", "range", "offset")
 
     def __init__(self, domain: ArcDiagram, range_: ArcDiagram, offset: int):
         m = domain.leaf_count()
@@ -43,19 +40,15 @@ class Element:
         self.domain = domain
         self.range = range_
         self.offset = offset % m
-        self._pl = None
 
     def leaf_count(self) -> int:
         return self.domain.leaf_count()
 
     def to_pl(self) -> PLCircleMap:
-        if self._pl is None:
-            bp_d = self.domain.boundary_points()
-            bp_r = self.range.boundary_points()
-            m = len(bp_d)
-            pairs = [(bp_d[i], bp_r[(i + self.offset) % m]) for i in range(m)]
-            self._pl = PLCircleMap(pairs)
-        return self._pl
+        bp_d = self.domain.boundary_points()
+        bp_r = self.range.boundary_points()
+        m = len(bp_d)
+        return PLCircleMap([(bp_d[i], bp_r[(i + self.offset) % m]) for i in range(m)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -77,17 +70,15 @@ class Element:
 
 
 def make(domain: ArcDiagram, range_: ArcDiagram, offset: int) -> Element:
-    """Build an element, checking that arcs are carried onto arcs."""
+    """Build an element, checking that arcs are carried onto arcs.  The
+    witness of a mismatch is the first mismatching domain arc in the order
+    of ``ArcDiagram.farsides``."""
     e = Element(domain, range_, offset)
-    bp_d = e.domain.boundary_points()
-    bp_r = e.range.boundary_points()
-    m = len(bp_d)
-    pos = {p: i for i, p in enumerate(bp_d)}
-    targets = {a.endpoints for a in e.range.arcs()}
-    for arc in e.domain.arcs():
-        pts = arc.endpoints
-        image = frozenset(bp_r[(pos[p] + e.offset) % m] for p in pts)
-        if image not in targets:
+    m = e.leaf_count()
+    targets = e.range.farsides()
+    for (first, after), arc in e.domain.farsides().items():
+        image = ((first + e.offset) % m, (after + e.offset) % m)
+        if image not in targets and image[::-1] not in targets:
             raise ArcMismatch(arc)
     return e
 
@@ -156,18 +147,26 @@ def compose(f: Element, g: Element) -> Element:
     return Element(ArcDiagram(domain), ArcDiagram(range_), offset)
 
 
-def evaluate(e: Element, point: Angle | Fraction) -> Angle:
-    p = point if isinstance(point, Angle) else Angle(Fraction(point))
-    return pl_eval(e.to_pl(), p)
+def evaluate(e: Element, point: Angle) -> Angle:
+    return e.to_pl()(point)
 
 
-def image_of_arc(e: Element, arc: Arc) -> Arc:
-    pl = e.to_pl()
-    a, b = sorted(arc.endpoints)
-    try:
-        return arc_from_endpoints(pl(a), pl(b))
-    except NotAnArc:
-        raise ArcMismatch(arc)
+def image_of_arc(e: Element, arc: Arc) -> tuple[Arc, bool]:
+    """The arc the element carries the given arc onto, and whether the
+    farside goes onto the image's farside (else onto its centerside).
+
+    The pair first grows until its domain holds the arc; the farside's leaf
+    positions, shifted by the offset, are then the image's or reversed.
+    """
+    domain, _, shapes = forest_merge(minimal_diagram_containing([arc]).forest, e.domain.forest, ARITY)
+    range_, back = pair_graft(e.range.forest, -e.offset % e.leaf_count(), shapes)
+    m = domain.count("0")
+    first, after = next(key for key, a in ArcDiagram(domain).farsides().items() if a == arc)
+    image = ((first - back) % m, (after - back) % m)
+    targets = ArcDiagram(range_).farsides()
+    if image in targets:
+        return targets[image], True
+    return targets[image[::-1]], False
 
 
 def image_of_gap(e: Element, gap: GapId) -> GapId:
@@ -180,10 +179,8 @@ def image_of_gap(e: Element, gap: GapId) -> GapId:
         arc, side = BASE_ARC_HALF, "centerside"
     else:
         arc, side = gap.arc, "farside"
-    image = image_of_arc(e, arc)
-    far = arc.farside()
-    preserved = evaluate(e, Angle(far.lo)).f == image.farside().lo
-    if not preserved:
+    image, kept = image_of_arc(e, arc)
+    if not kept:
         side = "centerside" if side == "farside" else "farside"
     return neighbor_gap(image, side)
 

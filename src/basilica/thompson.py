@@ -12,6 +12,7 @@ as a word in the three images of the rearrangement generators.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .circle import PLCircleMap, mod1
@@ -19,6 +20,7 @@ from .diagram import (
     central_skeleton,
     forest_carets,
     forest_collapse,
+    forest_expand,
     format_forest,
     pair_compose,
     pair_reduce,
@@ -132,8 +134,17 @@ def rotation_treepair(amount: Fraction) -> TreePair:
 
 
 def t_transporter(p: Fraction, q: Fraction) -> TreePair:
-    """An element of T carrying the dyadic point p to q (a rotation)."""
-    return rotation_treepair(Fraction(q) - Fraction(p))
+    """An element of T carrying the dyadic point p to q: the smallest forest
+    cut at both, matched to itself with a shift."""
+    p, q = mod1(Fraction(p)), mod1(Fraction(q))
+    if any(x.denominator & (x.denominator - 1) for x in (p, q)):
+        raise ValueError(f"{p} or {q} is not dyadic")
+    forest, cuts = "00", [Fraction(0), Fraction(1, 2)]
+    while p not in cuts or q not in cuts:
+        leaf = bisect_right(cuts, p if p not in cuts else q) - 1
+        forest = forest_expand(forest, leaf, ARITY)
+        cuts = forest_cuts(forest)
+    return TreePair(forest, forest, cuts.index(q) - cuts.index(p))
 
 
 # -- the isomorphism with the central-gap stabilizer -------------------------

@@ -5,14 +5,17 @@ iterated preimages under angle doubling, with the correct preimage
 pairing selected by planarity alone; standard intervals are cut at their
 quarter points as (lo, length) Fractions; PL maps are evaluated by a linear
 scan, and membership refines one leaf at a time, rescanning from leaf 0.
+Elements are checked by the Angles of their boundary points, and arcs and
+gaps carried through the element's PL map.
 """
 
 from fractions import Fraction
 
 from basilica.circle import Angle, mod1
 from basilica.diagram import base_diagram, minimal_diagram_containing
-from basilica.element import make, reduce
+from basilica.element import Element, make, reduce
 from basilica.errors import (
+    ArcMismatch,
     ArcNotPreserved,
     BreakpointNotArcEndpoint,
     ImageNotStandard,
@@ -20,7 +23,13 @@ from basilica.errors import (
     SlopeNotPowerOfTwo,
     UnsupportedDenominator,
 )
-from basilica.lamination import BASE_ARC_HALF, BASE_ARC_ZERO, arc_from_endpoints, is_standard
+from basilica.lamination import (
+    BASE_ARC_HALF,
+    BASE_ARC_ZERO,
+    arc_from_endpoints,
+    is_standard,
+    neighbor_gap,
+)
 from basilica.membership import _endpoint_partner_arc
 
 SEED_LEAF = frozenset((Fraction(1, 3), Fraction(2, 3)))
@@ -201,3 +210,43 @@ def recognize_by_rescan(f):
         raise ImageNotStandard(f)
     offset = range_.boundary_points().index(Angle(image(domain.leaves()[0].lo)))
     return reduce(make(domain, range_, offset))
+
+
+# -- elements by boundary-point Angles and PL evaluation ----------------------
+
+def make_by_angles(domain, range_, offset):
+    """``element.make`` with the boundary points keyed by Angle: the image of
+    each domain arc's endpoint set must be a range arc's.  The witness is
+    the first mismatching arc in frozenset order."""
+    e = Element(domain, range_, offset)
+    bp_d = e.domain.boundary_points()
+    bp_r = e.range.boundary_points()
+    m = len(bp_d)
+    pos = {p: i for i, p in enumerate(bp_d)}
+    targets = {a.endpoints for a in e.range.arcs()}
+    for arc in e.domain.arcs():
+        image = frozenset(bp_r[(pos[p] + e.offset) % m] for p in arc.endpoints)
+        if image not in targets:
+            raise ArcMismatch(arc)
+    return e
+
+
+def image_of_arc_by_pl(pl, arc):
+    """The arc the PL map carries the arc onto, and whether the low end of
+    the farside goes to the low end of the image's farside."""
+    a, b = sorted(arc.endpoints)
+    image = arc_from_endpoints(pl(a), pl(b))
+    return image, pl.eval_fraction(arc.farside().lo) == image.farside().lo
+
+
+def image_of_gap_by_pl(pl, gap):
+    """The gap behind an arc, or the central gap on the centerside of
+    {1/3,2/3}, carried by the PL map with its side."""
+    if gap.arc is None:
+        arc, side = BASE_ARC_HALF, "centerside"
+    else:
+        arc, side = gap.arc, "farside"
+    image, kept = image_of_arc_by_pl(pl, arc)
+    if not kept:
+        side = "centerside" if side == "farside" else "farside"
+    return neighbor_gap(image, side)

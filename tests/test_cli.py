@@ -117,7 +117,10 @@ def test_deep_nesting_exits_zero(capsys):
 
 def test_parse_errors_are_short(capsys):
     junk = "x" * 100_000
+    n = 1500  # middle vines in tree 1 that part at the bottom: a deep witness
+    v, w = ("(.," * (n - 1) + bottom + ",.)" * (n - 1) for bottom in ("((.,.,.),.,.)", "(.,(.,.,.),.)"))
     for argv in [
+        ["reduce", "--element", f"[.,{v},.,. ; .,{w},.,. ; 0]"],
         ["reduce", "--element", junk],
         ["tau", "--inverse", "--treepair", f"[{junk}]"],
         ["reduce", "--element", f"[.,.,.,. ; .,.,.,. ; {junk}]"],

@@ -24,6 +24,9 @@ from basilica.element import (
 from basilica.errors import ArcMismatch, LeafCountMismatch
 from basilica.lamination import GapId, arc_from_endpoints, BASE_ARC_HALF, BASE_ARC_ZERO
 
+from oracles import image_of_arc_by_pl, image_of_gap_by_pl, make_by_angles
+from test_lamination import all_arcs
+
 
 def A(p, q):
     return Angle(Fraction(p, q))
@@ -144,8 +147,60 @@ def test_image_of_arc_matches_pointwise_images():
     for _ in range(30):
         f = random_element(rng, rng.randrange(1, 5))
         arc = rng.choice(arcs)
-        image = image_of_arc(f, arc)
+        image, _ = image_of_arc(f, arc)
         assert {evaluate(f, p) for p in arc.endpoints} == set(image.endpoints)
+
+
+def test_leaf_positions_match_pl_oracles():
+    # arc and gap images by leaf positions against the PL map, on every arc
+    # up to level 6 and the central gap; make's verdict against the
+    # Angle-keyed check for every offset, on the reduced pair and on one
+    # expanded at a random leaf
+    rng = random.Random(29)
+    arcs = list(all_arcs(6))
+    rejected = 0
+    for _ in range(30):
+        e = random_element(rng, rng.randrange(1, 9))
+        pl = e.to_pl()
+        assert image_of_gap(e, GapId.central()) == image_of_gap_by_pl(pl, GapId.central())
+        for arc in arcs:
+            assert image_of_arc(e, arc) == image_of_arc_by_pl(pl, arc)
+            gap = GapId.behind(arc)
+            assert image_of_gap(e, gap) == image_of_gap_by_pl(pl, gap)
+        for d in (e, expand_pair(e, rng.randrange(e.leaf_count()))):
+            for offset in range(d.leaf_count()):
+                accepted = _accepts(make, d, offset)
+                assert accepted == _accepts(make_by_angles, d, offset)
+                rejected += not accepted
+    assert rejected > 100
+
+
+def _accepts(check, e, offset):
+    try:
+        check(e.domain, e.range, offset)
+    except ArcMismatch:
+        return False
+    return True
+
+
+def _middle_vine(depth, bottom):
+    """A ternary tree nested depth-1 times in the middle child above `bottom`."""
+    return "(.," * (depth - 1) + bottom + ",.)" * (depth - 1)
+
+
+def test_make_witness_is_first_in_preorder():
+    # the base arcs come first, then the nodes' primary arcs in preorder;
+    # shifting a deep vine by one leaf breaks every arc of it
+    vine = _middle_vine(1500, "(.,.,.)")
+    with pytest.raises(ArcMismatch) as caught:
+        parse_element(f"[{vine},.,.,. ; {vine},.,.,. ; 1]")
+    assert caught.value.witness == BASE_ARC_HALF
+    # otherwise the first node in preorder whose arc lands elsewhere: the
+    # bottom node, before the arc of its child caret
+    left, middle = (_middle_vine(3, bottom) for bottom in ("((.,.,.),.,.)", "(.,(.,.,.),.)"))
+    with pytest.raises(ArcMismatch) as caught:
+        parse_element(f"[.,{left},.,. ; .,{middle},.,. ; 0]")
+    assert str(caught.value.witness) == "{23/48,25/48}"
 
 
 def test_stab_and_rist_membership():

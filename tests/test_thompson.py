@@ -123,11 +123,17 @@ def test_rotation_treepair():
 
 
 def test_transporter_moves_the_point():
+    # the smallest forest cut at p = k/2^a and at q = l/2^b
     rng = random.Random(46)
-    for _ in range(20):
-        p = Fraction(rng.randrange(16), 16)
-        q = Fraction(rng.randrange(16), 16)
-        assert tp_eval(t_transporter(p, q), p) == q
+    for _ in range(60):
+        a, b = rng.randrange(9), rng.randrange(9)
+        p = Fraction(rng.randrange(2 ** a), 2 ** a)
+        q = Fraction(rng.randrange(2 ** b), 2 ** b)
+        t = t_transporter(p, q)
+        assert tp_eval(t, p) == q
+        assert t.leaf_count() <= a + b + 2
+    with pytest.raises(ValueError):
+        t_transporter(Fraction(1, 3), Fraction(1, 2))
 
 
 def test_factor_t_roundtrip():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from basilica.element import (
     inverse,
     is_in_rist,
     is_in_stab,
+    parse_element,
     reduce,
 )
 from basilica.errors import ParseError
@@ -90,6 +92,26 @@ def test_decompose_multiplies_back():
         assert equal(eval_word(word), e)
 
 
+def test_deep_element_decomposes_quickly():
+    # 24 leaves nested 9 deep: with rotations as transporters this took
+    # 13 s and 4076 letters
+    e = parse_element(
+        "[.,.,.,(.,.,((((((.,.,.),.,.),.,.),(.,.,.),.),.,(.,.,.)),.,(.,.,.))) ; "
+        ".,(((((.,.,(.,.,(.,.,(.,.,(.,(.,.,.),.))))),.,.),.,.),.,.),.,.),.,. ; 10]"
+    )
+    start = time.perf_counter()
+    word = decompose(e)
+    assert time.perf_counter() - start < 1
+    assert equal(eval_word(word), e)
+
+
+def test_decompose_length_is_linear_in_leaves():
+    rng = random.Random(56)
+    for _ in range(300):
+        e = reduce(random_element(rng.randrange(10 ** 6), rng.randrange(1, 30)))
+        assert len(decompose(e)) <= 4 * e.leaf_count()
+
+
 def test_decompose_of_identity_is_empty():
     assert decompose(identity()) == []
     assert decompose(compose(generator("delta"), generator("delta"))) == []
@@ -163,7 +185,7 @@ def test_skeleton_paths_match_pl_paths():
         stab += 1
         rist += in_rist
         pairs = [
-            (central_label(a), central_label(image_of_arc(e, a)))
+            (central_label(a), central_label(image_of_arc(e, a)[0]))
             for a in e.domain.arcs()
             if is_central(a)
         ]
