@@ -1,9 +1,11 @@
 """Exact arithmetic on the circle R/Z and piecewise-linear circle maps.
 
 Points live on the grid k/(3*2^n): every denominator is 2^a or 3*2^a.
-Piecewise-linear maps are stored as breakpoint lists; the lift of the
-breakpoints to the real line is built once per map, on first use, and
-evaluation bisects it.
+Inside the kernel a point is a ``Fraction`` in [0, 1) that ``grid_point``
+has checked; ``Angle`` wraps one only at the API edge (parsing, printing,
+``evaluate``).  Piecewise-linear maps are stored as lists of
+(Fraction, Fraction) breakpoints; the lift of the breakpoints to the real
+line is built once per map, on first use, and evaluation bisects it.
 """
 
 from __future__ import annotations
@@ -26,53 +28,42 @@ def mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
+def grid_point(x) -> Fraction:
+    """x mod 1, as a Fraction in [0, 1); UnsupportedDenominator off the grid."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    if not 0 <= x < 1:
+        x = mod1(x)
+    if not _on_grid(x.denominator):
+        raise UnsupportedDenominator(f"denominator {x.denominator}", x)
+    return x
+
+
 @dataclass(frozen=True, order=True)
 class Angle:
-    """A point of R/Z with denominator 2^a or 3*2^a, reduced, in [0, 1)."""
+    """A grid point of R/Z, reduced, in [0, 1): the point type of the API edge."""
 
     f: Fraction
 
     def __post_init__(self):
-        if not 0 <= self.f < 1:
-            object.__setattr__(self, "f", mod1(self.f))
-        if not _on_grid(self.f.denominator):
-            raise UnsupportedDenominator(f"denominator {self.f.denominator}", self.f)
-
-    @property
-    def numerator(self) -> int:
-        return self.f.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.f.denominator
+        object.__setattr__(self, "f", grid_point(self.f))
 
     def __str__(self) -> str:
-        return f"{self.f.numerator}/{self.f.denominator}" if self.f.denominator != 1 else str(self.f.numerator)
+        return str(self.f)
 
     def __repr__(self) -> str:
         return f"Angle({self})"
 
 
-def _frac(x) -> Fraction:
-    return x.f if isinstance(x, Angle) else Fraction(x)
-
-
-def angle_make(numerator: int, denominator: int) -> Angle:
-    """Canonical reduced representative of numerator/denominator in [0, 1)."""
-    if denominator <= 0:
-        raise UnsupportedDenominator("denominator must be positive", denominator)
-    return Angle(Fraction(numerator, denominator))
-
-
 def parse_angle(text: str) -> Angle:
     text = text.strip()
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return angle_make(int(num), int(den))
-        return angle_make(int(text), 1)
+        num, den = map(int, text.split("/")) if "/" in text else (int(text), 1)
     except ValueError as exc:
         raise ParseError(f"bad angle {excerpt(text)!r}") from exc
+    if den <= 0:
+        raise UnsupportedDenominator("denominator must be positive", den)
+    return Angle(Fraction(num, den))
 
 
 class PLCircleMap:
@@ -85,16 +76,13 @@ class PLCircleMap:
 
     __slots__ = ("breakpoints", "_lifted")
 
-    def __init__(self, breakpoints, prune: bool = True):
-        pts = sorted(((Angle(_frac(x)), Angle(_frac(y))) for x, y in breakpoints), key=lambda p: p[0].f)
+    def __init__(self, breakpoints):
+        pts = sorted((grid_point(x), grid_point(y)) for x, y in breakpoints)
         if not pts:
             raise ValueError("breakpoint list must be nonempty")
         if any(pts[i][0] == pts[i + 1][0] for i in range(len(pts) - 1)):
             raise ValueError("duplicate breakpoint abscissa")
-        _check_monotone(pts)
-        if prune:
-            pts = _prune(pts)
-        self.breakpoints = tuple(pts)
+        self.breakpoints = tuple(_prune(pts))
         self._lifted = None
 
     # -- structure -------------------------------------------------------
@@ -136,9 +124,6 @@ class PLCircleMap:
         slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
         return mod1(ys[i] + slope * (t - xs[i]))
 
-    def __call__(self, t: Angle) -> Angle:
-        return Angle(self.eval_fraction(t.f))
-
     # -- identity / serialization ---------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -154,33 +139,26 @@ class PLCircleMap:
         return f"PLCircleMap({self})"
 
 
-def _check_monotone(pts):
-    if len(pts) < 2:
-        return
-    total = Fraction(0)
-    for i in range(len(pts)):
-        step = mod1(pts[(i + 1) % len(pts)][1].f - pts[i][1].f)
-        if step == 0:
-            raise ValueError("breakpoint images not strictly increasing in cyclic order")
-        total += step
-    if total != 1:
-        raise ValueError("map is not degree one")
+_NOT_INCREASING = "breakpoint images not strictly increasing in cyclic order"
 
 
 def _lift(pts):
     """(xs, ys) of the breakpoints lifted to strictly increasing reals; see
-    ``PLCircleMap.lifted``."""
-    xs = [p[0].f for p in pts]
-    ys = [pts[0][1].f]
+    ``PLCircleMap.lifted``.  ValueError unless the images of the breakpoints
+    go once around the circle in cyclic order, i.e. unless the map has
+    degree one."""
+    xs = [p[0] for p in pts]
+    ys = [pts[0][1]]
     for i in range(1, len(pts)):
-        step = mod1(pts[i][1].f - pts[i - 1][1].f)
+        step = mod1(pts[i][1] - pts[i - 1][1])
         if step == 0:
-            raise ValueError("breakpoint images not strictly increasing")
+            raise ValueError(_NOT_INCREASING)
         ys.append(ys[-1] + step)
     xs.append(xs[0] + 1)
     ys.append(ys[0] + 1)
-    if ys[-1] <= ys[-2]:
-        raise ValueError("breakpoint images wrap more than once")
+    if ys[-1] <= ys[-2]:  # the step back to ys[0] is 0 iff ys[-2] - ys[0] is whole
+        whole = (ys[-2] - ys[0]).denominator == 1
+        raise ValueError(_NOT_INCREASING if whole else "map is not degree one")
     return tuple(xs), tuple(ys)
 
 
@@ -197,12 +175,12 @@ def _prune(pts):
         return kept
     # no slope changes: a pure rotation, anchored at 0
     x, y = pts[0]
-    return [(Angle(Fraction(0)), Angle(y.f - x.f))]
+    return [(Fraction(0), mod1(y - x))]
 
 
 def rotation(amount) -> PLCircleMap:
     """Rotation by the given grid amount, stored with its synthetic breakpoint."""
-    return PLCircleMap([(Fraction(0), _frac(amount))])
+    return PLCircleMap([(0, amount)])
 
 
 def pl_inverse(f: PLCircleMap) -> PLCircleMap:
@@ -212,13 +190,13 @@ def pl_inverse(f: PLCircleMap) -> PLCircleMap:
 def pl_compose(f: PLCircleMap, g: PLCircleMap) -> PLCircleMap:
     """The composition f after g, with collinear breakpoints pruned."""
     ginv = pl_inverse(g)
-    candidates = {x.f for x, _ in g.breakpoints}
-    candidates.update(ginv.eval_fraction(x.f) for x, _ in f.breakpoints)
+    candidates = {x for x, _ in g.breakpoints}
+    candidates.update(ginv.eval_fraction(x) for x, _ in f.breakpoints)
     pts = []
     for x in sorted(candidates):
         if not _on_grid(x.denominator):
             raise UnsupportedDenominator("composition breakpoint off grid", x)
-        pts.append((Angle(x), Angle(f.eval_fraction(g.eval_fraction(x)))))
+        pts.append((x, f.eval_fraction(g.eval_fraction(x))))
     return PLCircleMap(pts)
 
 
@@ -229,7 +207,7 @@ def parse_pl(text: str) -> PLCircleMap:
         if chunk.count(":") != 1:
             raise ParseError(f"bad breakpoint {excerpt(chunk)!r}")
         x, y = chunk.split(":")
-        pairs.append((parse_angle(x), parse_angle(y)))
+        pairs.append((parse_angle(x).f, parse_angle(y).f))
     try:
         return PLCircleMap(pairs)
     except ValueError as exc:

@@ -12,7 +12,6 @@ two halves of the gap boundary: Thompson's T acts on it.
 
 from __future__ import annotations
 
-from .circle import Angle
 from .errors import ParseError, excerpt
 from .lamination import (
     BASE_ARC_HALF,
@@ -76,10 +75,6 @@ class ArcDiagram:
         primary arcs of the nodes in preorder."""
         self.leaves()
         return self._farsides
-
-    def boundary_points(self) -> tuple[Angle, ...]:
-        """Left endpoints of the leaves, ccw from 1/6."""
-        return tuple(Angle(interval.lo) for interval in self.leaves())
 
     def arcs(self) -> frozenset:
         return frozenset(self.farsides().values())

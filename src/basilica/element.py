@@ -45,10 +45,9 @@ class Element:
         return self.domain.leaf_count()
 
     def to_pl(self) -> PLCircleMap:
-        bp_d = self.domain.boundary_points()
-        bp_r = self.range.boundary_points()
-        m = len(bp_d)
-        return PLCircleMap([(bp_d[i], bp_r[(i + self.offset) % m]) for i in range(m)])
+        dom, ran = self.domain.leaves(), self.range.leaves()
+        m = len(dom)
+        return PLCircleMap([(dom[i].lo, ran[(i + self.offset) % m].lo) for i in range(m)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -148,7 +147,7 @@ def compose(f: Element, g: Element) -> Element:
 
 
 def evaluate(e: Element, point: Angle) -> Angle:
-    return e.to_pl()(point)
+    return Angle(e.to_pl().eval_fraction(point.f))
 
 
 def image_of_arc(e: Element, arc: Arc) -> tuple[Arc, bool]:

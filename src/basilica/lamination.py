@@ -5,6 +5,9 @@ repeated 1:2:1 subdivision of standard intervals; each non-base arc is the
 primary arc of exactly one standard interval.  Arcs and standard intervals
 share one canonical index (level n, index k), and subdivision, its inverse
 ``parent``, nesting and central labels are integer arithmetic on (n, k).
+One closed form, ``standard_interval``, names the standard interval
+between two points, and ``arc_between`` the arc whose farside it is;
+``arc_from_endpoints`` wraps the latter for ``Angle``s at the API edge.
 Gaps are the complementary regions: the central gap plus one gap behind
 each arc.
 """
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .circle import Angle, mod1
+from .circle import Angle, mod1, parse_angle
 from .errors import NotAnArc, NotCentral, ParseError, excerpt
 
 
@@ -46,7 +49,7 @@ class StandardInterval(NamedTuple):
         return Fraction((3 * self.index + 1) % d, d)
 
     def __str__(self) -> str:
-        return f"[{Angle(self.lo)},{Angle(self.hi)}]"
+        return f"[{self.lo},{self.hi}]"
 
 
 @dataclass(frozen=True, order=True)
@@ -64,7 +67,7 @@ class Arc:
 
     def __post_init__(self):
         n, k = self.level, self.index
-        if n < 1 or not 0 <= k < 2 ** n:
+        if n < 1 or not (0 <= k and k >> n == 0):
             raise NotAnArc(f"bad canonical index ({n},{k})")
         if k % 2 == 1 and (n, k) != (1, 1):
             raise NotAnArc(f"odd index ({n},{k}) is not in the arc family")
@@ -85,21 +88,36 @@ class Arc:
         return f"{{{a},{b}}}"
 
 
+def standard_interval(lo: Fraction, hi: Fraction) -> StandardInterval | None:
+    """The standard interval running ccw from lo to hi (both taken mod 1),
+    or None: it has length 2/(3*2^n) = 1/(3*2^(n-1)) and lo = (3k-1)/(3*2^n)."""
+    length = mod1(hi - lo)
+    d = length.denominator
+    if length.numerator != 1 or d % 3 or (d // 3) & (d // 3 - 1):
+        return None
+    start = lo * 2 * d  # 3k - 1 in units of 1/(3*2^n), up to a multiple of 2d
+    if start.denominator != 1 or start.numerator % 3 != 2:
+        return None
+    n = (d // 3).bit_length()
+    return StandardInterval(n, (start.numerator + 1) // 3 % (1 << n))
+
+
+def arc_between(a: Fraction, b: Fraction) -> Arc | None:
+    """The arc with endpoints {a, b}, or None: its farside runs from one to
+    the other, and has an even index or is {1/3,2/3} = (1, 1)."""
+    for interval in (standard_interval(a, b), standard_interval(b, a)):
+        if interval is not None and (interval.index % 2 == 0 or interval == (1, 1)):
+            return Arc(*interval)
+    return None
+
+
 def arc_from_endpoints(a: Angle, b: Angle) -> Arc:
     """The arc with endpoints {a,b}; raises NotAnArc on any other pair."""
-    if {a, b} == {Angle(Fraction(1, 3)), Angle(Fraction(2, 3))}:
-        return Arc(1, 1)
-    d = a.denominator
-    n = (d // 3).bit_length() - 1
-    if d == b.denominator and n >= 1 and d == 3 * 2 ** n:
-        for lo, hi in ((a, b), (b, a)):
-            num = lo.numerator
-            if (num + 1) % 3 == 0 and (hi.numerator - num) % d == 2:
-                k = ((num + 1) // 3) % 2 ** n
-                if k % 2 == 0:
-                    return Arc(n, k)
-    witness = f"{{{a},{b}}}"
-    raise NotAnArc(f"{witness} is not in the arc family", witness)
+    arc = arc_between(a.f, b.f)
+    if arc is None:
+        witness = f"{{{a},{b}}}"
+        raise NotAnArc(f"{witness} is not in the arc family", witness)
+    return arc
 
 
 # -- the subdivision tree --------------------------------------------------
@@ -138,22 +156,6 @@ def parent(interval: StandardInterval) -> StandardInterval | None:
     if k % 2 == 0:
         return StandardInterval(n - 1, k // 2)
     return StandardInterval(n - 2, (k + 1) // 4 % (1 << (n - 2)))
-
-
-def is_standard(lo: Fraction, hi: Fraction) -> bool:
-    """Closed-form test for the two standard interval shapes."""
-    length = mod1(hi - lo)
-    if length == 0:
-        return False
-    d = length.denominator
-    if length.numerator != 1 or d % 3 != 0 or ((d // 3) & (d // 3 - 1)):
-        return False
-    lo = mod1(lo)
-    num = lo * d
-    if num.denominator == 1 and num.numerator % 3 == 1:
-        return True  # [(3k+1)/(3*2^n), (3k+2)/(3*2^n)]
-    num2 = lo * 2 * d
-    return num2.denominator == 1 and num2.numerator % 3 == 2  # [(3k-1)/(3*2^(n+1)), ...]
 
 
 def double_arc(arc: Arc) -> Arc:
@@ -267,8 +269,6 @@ def parse_arc(text: str) -> Arc:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"bad arc syntax {excerpt(text)!r}")
-    from .circle import parse_angle
-
     parts = text[1:-1].split(",")
     if len(parts) != 2:
         raise ParseError(f"bad arc syntax {excerpt(text)!r}")

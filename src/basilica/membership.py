@@ -6,7 +6,10 @@ enough every leaf maps affinely onto a standard interval with arcs going
 to arcs.  ``recognize`` checks, in this order and reporting the first
 obstruction found: the slopes, the breakpoints, the images of the two
 base arcs, and then, after one preorder walk has refined the base
-diagram, the images of the other arcs and of the leaves.
+diagram, the images of the other arcs and of the leaves.  Every check
+asks one question of a pair of image points, answered by the closed forms
+``standard_interval`` and ``arc_between`` on grid Fractions: which
+standard interval, or which arc, do they bound?
 """
 
 from __future__ import annotations
@@ -14,23 +17,21 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 
-from .circle import Angle, PLCircleMap, mod1
+from .circle import PLCircleMap
 from .diagram import ArcDiagram, minimal_diagram_containing
 from .element import Element, make, reduce
 from .errors import (
     ArcNotPreserved,
     BreakpointNotArcEndpoint,
     ImageNotStandard,
-    NotAnArc,
     SlopeNotPowerOfTwo,
-    UnsupportedDenominator,
 )
 from .lamination import (
     BASE_ARC_HALF,
     BASE_ARC_ZERO,
     BASE_INTERVALS,
-    arc_from_endpoints,
-    is_standard,
+    arc_between,
+    standard_interval,
     subdivide,
 )
 
@@ -49,33 +50,16 @@ def t3_check(f: PLCircleMap) -> bool:
     return all(_pow2_fraction(s) for s in f.slopes())
 
 
-def _true_breakpoints(f: PLCircleMap) -> list[Fraction]:
-    """Abscissas where the slope actually changes (drops the synthetic
-    anchor a pure rotation is stored with)."""
-    if f.is_rotation():
-        return []
-    return [x.f for x, _ in f.breakpoints]
-
-
-def _two_exponent(den: int) -> int:
-    e = 0
-    while den % 2 == 0:
-        den //= 2
-        e += 1
-    return e
-
-
 def recognize(f: PLCircleMap) -> Element:
     """Reconstruct the reduced arc pair diagram of f, or reject with a witness."""
     for slope in f.slopes():
         if not _pow2_fraction(slope):
             raise SlopeNotPowerOfTwo(slope)
-    bps = _true_breakpoints(f)
+    # where the slope changes: not at the synthetic anchor of a rotation
+    bps = [] if f.is_rotation() else [x for x, _ in f.breakpoints]
     for x in bps:
-        try:
-            _endpoint_partner_arc(x)
-        except NotAnArc:
-            raise BreakpointNotArcEndpoint(Angle(x))
+        if not _is_arc_endpoint(x):
+            raise BreakpointNotArcEndpoint(x)
 
     # arcs first, so that e.g. an off-family rotation reports the arc it breaks
     image_arcs = [_image_arc(f, arc) for arc in (BASE_ARC_HALF, BASE_ARC_ZERO)]
@@ -87,9 +71,9 @@ def recognize(f: PLCircleMap) -> Element:
     m_exp = 0
     s_max = 0
     for x_lo, _, y_lo, slope in f.segments():
-        c = mod1(y_lo - slope * x_lo)
-        for q in (x_lo, c):
-            m_exp = max(m_exp, _two_exponent(mod1(q).denominator))
+        for q in (x_lo, y_lo - slope * x_lo):  # a breakpoint and an offset
+            d = q.denominator
+            m_exp = max(m_exp, (d & -d).bit_length() - 1)
         s_max = max(s_max, abs(slope.numerator.bit_length() - slope.denominator.bit_length()))
     max_level = m_exp + s_max  # deepest level longer than 1/(3*2^(m_exp+s_max))
 
@@ -106,7 +90,7 @@ def recognize(f: PLCircleMap) -> Element:
         hi = lo + iv.length
         if cuts[bisect_right(cuts, lo)] < hi or (
             iv.level <= max_level
-            and not is_standard(f.eval_fraction(lo), f.eval_fraction(hi))
+            and standard_interval(f.eval_fraction(lo), f.eval_fraction(hi)) is None
         ):
             forest.append("1")
             stack.extend(subdivide(iv)[::-1])
@@ -117,15 +101,15 @@ def recognize(f: PLCircleMap) -> Element:
     others = sorted(domain.arcs() - {BASE_ARC_HALF, BASE_ARC_ZERO})
     image_arcs += [_image_arc(f, arc) for arc in others]
 
-    for iv in domain.leaves():
-        if not is_standard(f.eval_fraction(iv.lo), f.eval_fraction(iv.hi)):
-            raise ImageNotStandard(iv)
+    leaves = domain.leaves()
+    images = [standard_interval(f.eval_fraction(iv.lo), f.eval_fraction(iv.hi)) for iv in leaves]
+    if None in images:
+        raise ImageNotStandard(leaves[images.index(None)])
 
     range_ = minimal_diagram_containing(image_arcs)
     if range_.leaf_count() != domain.leaf_count():
         raise ImageNotStandard(f)
-    first_image = Angle(f.eval_fraction(domain.leaves()[0].lo))
-    offset = range_.boundary_points().index(first_image)
+    offset = range_.leaves().index(images[0])
     e = make(domain, range_, offset)
     assert e.to_pl() == f, "reconstructed diagram disagrees with input map"
     return reduce(e)
@@ -133,26 +117,15 @@ def recognize(f: PLCircleMap) -> Element:
 
 def _image_arc(f: PLCircleMap, arc):
     """The arc that f carries the given arc onto, or ArcNotPreserved."""
-    a, b = sorted(arc.endpoints)
-    try:
-        return arc_from_endpoints(Angle(f.eval_fraction(a.f)), Angle(f.eval_fraction(b.f)))
-    except (NotAnArc, UnsupportedDenominator):
+    far = arc.farside()
+    image = arc_between(f.eval_fraction(far.lo), f.eval_fraction(far.hi))
+    if image is None:
         raise ArcNotPreserved(arc)
+    return image
 
 
-def _endpoint_partner_arc(x: Fraction):
-    """The unique arc having x as an endpoint, or NotAnArc."""
-    x = mod1(x)
-    d = x.denominator
-    if d == 3:
-        return arc_from_endpoints(Angle(Fraction(1, 3)), Angle(Fraction(2, 3)))
-    if d % 6 != 0:
-        raise NotAnArc(f"{x} is not an arc endpoint", x)
-    num = x.numerator
-    if num % 3 == 2:
-        partner = Fraction(num + 2, d)
-    elif num % 3 == 1:
-        partner = Fraction(num - 2, d)
-    else:
-        raise NotAnArc(f"{x} is not an arc endpoint", x)
-    return arc_from_endpoints(Angle(x), Angle(mod1(partner)))
+def _is_arc_endpoint(x: Fraction) -> bool:
+    """Is the grid point x an endpoint of some arc?  Its partner would lie
+    2/x.denominator away, on one side or the other."""
+    step = Fraction(2, x.denominator)
+    return arc_between(x, x + step) is not None or arc_between(x, x - step) is not None

@@ -140,8 +140,9 @@ def _decompose(e: Element) -> list[str]:
         e = reduce(compose(eval_word(w1), e))
 
     # (ii) kill the boundary action with a rigid-stabilizer element
-    wg = _bgd_to_word(factor_t(boundary_action(e)))
-    h = reduce(compose(inverse(eval_word(wg)), e))
+    t = boundary_action(e)
+    wg = _bgd_to_word(factor_t(t))
+    h = reduce(compose(inverse(tau_inverse(t)), e))
     if h == identity():
         return prefix + wg
     return prefix + wg + _decompose_sections(h)

@@ -6,7 +6,10 @@ pairing selected by planarity alone; standard intervals are cut at their
 quarter points as (lo, length) Fractions; PL maps are evaluated by a linear
 scan, and membership refines one leaf at a time, rescanning from leaf 0.
 Elements are checked by the Angles of their boundary points, and arcs and
-gaps carried through the element's PL map.
+gaps carried through the element's PL map.  Points are tested against the
+lamination by the kernel's former checks, kept here as reference copies:
+``is_standard``, ``arc_from_endpoints`` on reduced numerators and
+denominators, ``endpoint_partner_arc`` and ``boundary_points``.
 """
 
 from fractions import Fraction
@@ -23,14 +26,7 @@ from basilica.errors import (
     SlopeNotPowerOfTwo,
     UnsupportedDenominator,
 )
-from basilica.lamination import (
-    BASE_ARC_HALF,
-    BASE_ARC_ZERO,
-    arc_from_endpoints,
-    is_standard,
-    neighbor_gap,
-)
-from basilica.membership import _endpoint_partner_arc
+from basilica.lamination import Arc, BASE_ARC_HALF, BASE_ARC_ZERO, neighbor_gap
 
 SEED_LEAF = frozenset((Fraction(1, 3), Fraction(2, 3)))
 
@@ -87,6 +83,66 @@ def preimage_closure(levels: int) -> set:
     return leaves
 
 
+# -- reference copies of the former point checks ------------------------------
+
+def is_standard(lo: Fraction, hi: Fraction) -> bool:
+    """Closed-form test for the two standard interval shapes."""
+    length = mod1(hi - lo)
+    if length == 0:
+        return False
+    d = length.denominator
+    if length.numerator != 1 or d % 3 != 0 or ((d // 3) & (d // 3 - 1)):
+        return False
+    lo = mod1(lo)
+    num = lo * d
+    if num.denominator == 1 and num.numerator % 3 == 1:
+        return True  # [(3k+1)/(3*2^n), (3k+2)/(3*2^n)]
+    num2 = lo * 2 * d
+    return num2.denominator == 1 and num2.numerator % 3 == 2  # [(3k-1)/(3*2^(n+1)), ...]
+
+
+def arc_from_endpoints(a: Fraction, b: Fraction) -> Arc:
+    """The arc with endpoints {a,b} (taken mod 1), read off their reduced
+    numerators and common denominator; NotAnArc on any other pair."""
+    a, b = mod1(Fraction(a)), mod1(Fraction(b))
+    if {a, b} == {Fraction(1, 3), Fraction(2, 3)}:
+        return Arc(1, 1)
+    d = a.denominator
+    n = (d // 3).bit_length() - 1
+    if d == b.denominator and n >= 1 and d == 3 * 2 ** n:
+        for lo, hi in ((a, b), (b, a)):
+            num = lo.numerator
+            if (num + 1) % 3 == 0 and (hi.numerator - num) % d == 2:
+                k = ((num + 1) // 3) % 2 ** n
+                if k % 2 == 0:
+                    return Arc(n, k)
+    witness = f"{{{a},{b}}}"
+    raise NotAnArc(f"{witness} is not in the arc family", witness)
+
+
+def endpoint_partner_arc(x: Fraction):
+    """The unique arc having x as an endpoint, or NotAnArc."""
+    x = mod1(x)
+    d = x.denominator
+    if d == 3:
+        return arc_from_endpoints(Fraction(1, 3), Fraction(2, 3))
+    if d % 6 != 0:
+        raise NotAnArc(f"{x} is not an arc endpoint", x)
+    num = x.numerator
+    if num % 3 == 2:
+        partner = Fraction(num + 2, d)
+    elif num % 3 == 1:
+        partner = Fraction(num - 2, d)
+    else:
+        raise NotAnArc(f"{x} is not an arc endpoint", x)
+    return arc_from_endpoints(x, partner)
+
+
+def boundary_points(diagram) -> tuple:
+    """Left endpoints of the leaves, ccw from 1/6, as Angles."""
+    return tuple(Angle(interval.lo) for interval in diagram.leaves())
+
+
 # -- standard intervals as (lo, length) Fractions -----------------------------
 
 BASE_SPANS = (
@@ -110,7 +166,7 @@ def subdivide_by_quarters(lo: Fraction, length: Fraction) -> tuple:
 def primary_arc_by_quarters(lo: Fraction, length: Fraction):
     """The arc joining the interval's first and third quarter points."""
     quarter = length / 4
-    return arc_from_endpoints(Angle(lo + quarter), Angle(lo + 3 * quarter))
+    return arc_from_endpoints(lo + quarter, lo + 3 * quarter)
 
 
 def minimal_diagram_by_expansion(arc):
@@ -163,17 +219,17 @@ def recognize_by_rescan(f):
     for _, _, _, slope in segments:
         if not (pow2(slope.numerator) and pow2(slope.denominator)):
             raise SlopeNotPowerOfTwo(slope)
-    bps = [] if f.is_rotation() else [x.f for x, _ in f.breakpoints]
+    bps = [] if f.is_rotation() else [x for x, _ in f.breakpoints]
     for x in bps:
         try:
-            _endpoint_partner_arc(x)
+            endpoint_partner_arc(x)
         except NotAnArc:
             raise BreakpointNotArcEndpoint(Angle(x))
 
     def image_arc(arc):
         a, b = sorted(arc.endpoints)
         try:
-            return arc_from_endpoints(Angle(image(a.f)), Angle(image(b.f)))
+            return arc_from_endpoints(image(a.f), image(b.f))
         except (NotAnArc, UnsupportedDenominator):
             raise ArcNotPreserved(arc)
 
@@ -208,7 +264,7 @@ def recognize_by_rescan(f):
     range_ = minimal_diagram_containing(image_by_arc.values())
     if range_.leaf_count() != domain.leaf_count():
         raise ImageNotStandard(f)
-    offset = range_.boundary_points().index(Angle(image(domain.leaves()[0].lo)))
+    offset = boundary_points(range_).index(Angle(image(domain.leaves()[0].lo)))
     return reduce(make(domain, range_, offset))
 
 
@@ -219,8 +275,8 @@ def make_by_angles(domain, range_, offset):
     each domain arc's endpoint set must be a range arc's.  The witness is
     the first mismatching arc in frozenset order."""
     e = Element(domain, range_, offset)
-    bp_d = e.domain.boundary_points()
-    bp_r = e.range.boundary_points()
+    bp_d = boundary_points(e.domain)
+    bp_r = boundary_points(e.range)
     m = len(bp_d)
     pos = {p: i for i, p in enumerate(bp_d)}
     targets = {a.endpoints for a in e.range.arcs()}
@@ -235,7 +291,7 @@ def image_of_arc_by_pl(pl, arc):
     """The arc the PL map carries the arc onto, and whether the low end of
     the farside goes to the low end of the image's farside."""
     a, b = sorted(arc.endpoints)
-    image = arc_from_endpoints(pl(a), pl(b))
+    image = arc_from_endpoints(pl.eval_fraction(a.f), pl.eval_fraction(b.f))
     return image, pl.eval_fraction(arc.farside().lo) == image.farside().lo
 
 

@@ -57,7 +57,7 @@ def test_cyclic_between_wraps():
 
 def test_rotation_eval_and_inverse():
     r = rotation(Fraction(1, 2))
-    assert r(Angle(Fraction(0))) == Angle(Fraction(1, 2))
+    assert r.eval_fraction(Fraction(0)) == Fraction(1, 2)
     assert is_identity(pl_compose(r, r))
     assert pl_inverse(r) == r
 
@@ -72,6 +72,17 @@ def test_pruning_produces_canonical_breakpoints():
 def test_degree_one_violation_rejected():
     with pytest.raises(ValueError):
         PLCircleMap([(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0))])
+    # malformed wire formats, each with its own message
+    for text, error, message in [
+        ("1/6:1/6,1/6:1/3", ParseError, "duplicate breakpoint abscissa"),
+        ("0:0,1/2:0", ParseError, "breakpoint images not strictly increasing in cyclic order"),
+        ("0:0,1/4:1/2,1/2:1/4", ParseError, "map is not degree one"),
+        ("0:1/5", UnsupportedDenominator, "denominator 5"),
+        ("x", ParseError, "bad breakpoint 'x'"),
+    ]:
+        with pytest.raises(error) as caught:
+            parse_pl(text)
+        assert str(caught.value) == message, text
 
 
 def test_compose_against_pointwise_oracle():
@@ -102,8 +113,8 @@ def test_orientation_preserved():
         )
         if len(pts) < 3:
             continue
-        a, b, c = (Angle(p) for p in pts)
-        assert cyclic_between(f(a), f(b), f(c))
+        a, b, c = (Angle(f.eval_fraction(p)) for p in pts)
+        assert cyclic_between(a, b, c)
 
 
 def test_format_parse_roundtrip():
@@ -123,14 +134,14 @@ def test_padding_with_collinear_points_keeps_breakpoints():
     rng = random.Random(14)
     for f in random_maps(15, 30):
         xs = {x for x, _ in f.breakpoints}
-        pad = {Angle(Fraction(rng.randrange(3 * 2 ** 7), 3 * 2 ** 7)) for _ in range(rng.randrange(1, 12))}
-        pts = list(f.breakpoints) + [(x, f(x)) for x in pad - xs]
+        pad = {Fraction(rng.randrange(3 * 2 ** 7), 3 * 2 ** 7) for _ in range(rng.randrange(1, 12))}
+        pts = list(f.breakpoints) + [(x, f.eval_fraction(x)) for x in pad - xs]
         assert PLCircleMap(pts).breakpoints == f.breakpoints
 
 
 def test_bisect_evaluation_matches_linear_scan():
     for f in random_maps(16, 30):
-        xs = [x.f for x, _ in f.breakpoints]
+        xs = [x for x, _ in f.breakpoints]
         points = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:] + [xs[0] + 1])]
         points += [Fraction(k, 48) for k in range(48)]
         for t in points:

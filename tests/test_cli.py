@@ -100,6 +100,18 @@ def test_malformed_input_exits_one(capsys):
         assert err and "Traceback" not in err, argv
 
 
+def test_malformed_angle_keeps_message(capsys):
+    for angle, message in [
+        ("1/0", "denominator must be positive"),
+        ("1/-3", "denominator must be positive"),
+        ("x/3", "bad angle 'x/3'"),
+        ("1/2/3", "bad angle '1/2/3'"),
+        ("1/5", "denominator 5"),
+    ]:
+        assert exit_code(["eval", "--word", "a", f"--angle={angle}"]) == 1, angle
+        assert capsys.readouterr().err == f"error: {message}\n", angle
+
+
 def test_deep_nesting_exits_zero(capsys):
     n = 1500
     tree = "(" * n + ".,.,.)" + ",.,.)" * (n - 1)  # ternary, nested in child 0

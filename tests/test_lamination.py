@@ -11,22 +11,25 @@ from basilica.lamination import (
     BASE_ARC_ZERO,
     BASE_INTERVALS,
     GapId,
+    StandardInterval,
     ancestors,
+    arc_between,
     arc_for_label,
     arc_from_endpoints,
     central_label,
     double_arc,
     gap_color,
     gap_depth,
-    is_standard,
     neighbor_gap,
     parent,
     parse_arc,
     parse_gap,
     primary_arc,
+    standard_interval,
     subdivide,
 )
 
+import oracles
 from oracles import (
     BASE_SPANS,
     crosses,
@@ -217,12 +220,34 @@ def test_central_label_examples():
         central_label(arc_from_endpoints(A(5, 12), A(7, 12)))
 
 
-def test_is_standard():
-    assert is_standard(Fraction(1, 6), Fraction(1, 3))
-    assert is_standard(Fraction(5, 6), Fraction(7, 6))
-    assert is_standard(Fraction(1, 3), Fraction(5, 12))
-    assert not is_standard(Fraction(1, 6), Fraction(5, 12))
-    assert not is_standard(Fraction(0), Fraction(1, 2))
+def test_standard_interval():
+    assert standard_interval(Fraction(1, 6), Fraction(1, 3)) == (2, 1)
+    assert standard_interval(Fraction(5, 6), Fraction(7, 6)) == (1, 0)
+    assert standard_interval(Fraction(1, 3), Fraction(5, 12)) == (3, 3)
+    assert standard_interval(Fraction(1, 3), Fraction(2, 3)) == (1, 1)
+    assert standard_interval(Fraction(1, 6), Fraction(5, 12)) is None
+    assert standard_interval(Fraction(0), Fraction(1, 2)) is None
+    assert standard_interval(Fraction(1, 6), Fraction(1, 6)) is None
+    for n in range(1, 9):
+        for k in range(2 ** n):
+            iv = StandardInterval(n, k)
+            assert standard_interval(iv.lo, iv.hi) == iv
+
+
+def test_closed_forms_match_former_checks():
+    # every ordered pair of grid points with denominator dividing 3*2^6
+    points = [Fraction(j, 3 * 2 ** 6) for j in range(3 * 2 ** 6)]
+    arcs = 0
+    for lo in points:
+        for hi in points:
+            assert (standard_interval(lo, hi) is not None) == oracles.is_standard(lo, hi)
+            try:
+                expected = oracles.arc_from_endpoints(lo, hi)
+            except NotAnArc:
+                expected = None
+            assert arc_between(lo, hi) == expected
+            arcs += expected is not None
+    assert arcs == 2 * 2 ** 6  # each arc down to level 6, both ways round
 
 
 def test_gap_depth_and_color():

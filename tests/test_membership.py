@@ -10,13 +10,14 @@ from basilica.errors import (
     ArcNotPreserved,
     BreakpointNotArcEndpoint,
     ImageNotStandard,
+    NotAnArc,
     SlopeNotPowerOfTwo,
 )
-from basilica.membership import recognize, t3_check
+from basilica.membership import _is_arc_endpoint, recognize, t3_check
 from basilica.lamination import BASE_ARC_HALF, BASE_ARC_ZERO
 from basilica.words import eval_word
 
-from oracles import recognize_by_rescan
+from oracles import endpoint_partner_arc, recognize_by_rescan
 from test_element import random_element
 
 LETTERS = ("a", "a'", "b", "b'", "g", "g'", "d")
@@ -92,6 +93,20 @@ def test_witnesses_recheck():
             arc_from_endpoints(
                 Angle(pl.eval_fraction(a.f)), Angle(pl.eval_fraction(b.f))
             )
+
+
+def test_arc_endpoints_match_former_check():
+    endpoints = 0
+    for j in range(3 * 2 ** 9):
+        x = Fraction(j, 3 * 2 ** 9)
+        try:
+            endpoint_partner_arc(x)
+            expected = True
+        except NotAnArc:
+            expected = False
+        assert _is_arc_endpoint(x) == expected, x
+        endpoints += expected
+    assert endpoints == 2 * 2 ** 9  # both ends of each arc down to level 9
 
 
 def test_accepts_only_maps_passing_t3_check():

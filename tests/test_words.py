@@ -155,7 +155,7 @@ def test_alpha_parity_of_decompositions():
 def behind(h, arc):
     """The PL map agreeing with h on the farside of the arc, trivial elsewhere."""
     far, pl = arc.farside(), h.to_pl()
-    xs = {far.lo, far.hi} | {x.f for x, _ in pl.breakpoints}
+    xs = {far.lo, far.hi} | {x for x, _ in pl.breakpoints}
     return PLCircleMap([(x, pl.eval_fraction(x) if contains(far, x) else x) for x in sorted(xs)])
 
 
