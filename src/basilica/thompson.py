@@ -7,7 +7,7 @@ gap is isomorphic to T; ``tau`` realizes the isomorphism by the central
 skeleton (``diagram.central_skeleton``): the nodes of an arc diagram that
 border the central gap form a binary forest whose leaf i has dyadic left
 end the label of the i-th central arc.  ``factor_t`` writes any tree pair
-as a word in the three images of the rearrangement generators.
+as a free-reduced word in the three images of the rearrangement generators.
 """
 
 from __future__ import annotations
@@ -139,11 +139,11 @@ def t_transporter(p: Fraction, q: Fraction) -> TreePair:
     p, q = mod1(Fraction(p)), mod1(Fraction(q))
     if any(x.denominator & (x.denominator - 1) for x in (p, q)):
         raise ValueError(f"{p} or {q} is not dyadic")
-    forest, cuts = "00", [Fraction(0), Fraction(1, 2)]
+    forest, cuts = "00", [Fraction(0), Fraction(1, 2), Fraction(1)]
     while p not in cuts or q not in cuts:
         leaf = bisect_right(cuts, p if p not in cuts else q) - 1
         forest = forest_expand(forest, leaf, ARITY)
-        cuts = forest_cuts(forest)
+        cuts.insert(leaf + 1, (cuts[leaf] + cuts[leaf + 1]) / 2)
     return TreePair(forest, forest, cuts.index(q) - cuts.index(p))
 
 
@@ -211,6 +211,16 @@ def invert_word(word) -> list[str]:
     ]
 
 
+def free_reduce(word) -> list[str]:
+    out: list[str] = []
+    for letter in word:
+        if out and out[-1][0] == letter[0] and (out[-1] + letter).count("'") == 1:
+            out.pop()
+        else:
+            out.append(letter)
+    return out
+
+
 def _transport_to_zero(q: Fraction):
     """Letters whose product (leftmost applied last) carries q to 0."""
     moves = []
@@ -240,18 +250,13 @@ def _positive_factorization(forest):
     return list(reversed(out))
 
 
-# x_0 = B; x_1 = B^{-1} G^{-1} B B; deeper generators by conjugation
-_X1 = ["B'", "G'", "B", "B"]
-
-
 def _x_word(i: int):
-    if i == 0:
-        return ["B"]
-    return ["B'"] * (i - 1) + _X1 + ["B"] * (i - 1)
+    """x_0 = B; x_i = B^-i G^-1 B^(i+1), x_1 = B^-1 G^-1 B B conjugated by x_0."""
+    return ["B"] if i == 0 else ["B'"] * i + ["G'"] + ["B"] * (i + 1)
 
 
 def factor_t(t: TreePair):
-    """A word over B, G, D (primes are inverses) multiplying out to t."""
+    """A free-reduced word over B, G, D (primes inverse) multiplying out to t."""
     t = tp_reduce(t)
     if t == tp_identity():
         return []
@@ -259,14 +264,9 @@ def factor_t(t: TreePair):
     transport = _transport_to_zero(q)
     h = tp_compose(word_to_tp(transport), t)
     assert h.offset == 0, "map fixing 0 must match leaves without rotation"
-    word_h: list = []
-    for i in _positive_factorization(h.range):
-        word_h.extend(_x_word(i))
-    tail: list = []
-    for i in _positive_factorization(h.domain):
-        tail.extend(_x_word(i))
-    word_h.extend(invert_word(tail))
-    return invert_word(transport) + word_h
+    head = [x for i in _positive_factorization(h.range) for x in _x_word(i)]
+    tail = [x for i in _positive_factorization(h.domain) for x in _x_word(i)]
+    return free_reduce(invert_word(transport) + head + invert_word(tail))
 
 
 # -- wire format -------------------------------------------------------------

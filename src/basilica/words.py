@@ -4,10 +4,10 @@ Letters are a, b, g, d; a trailing apostrophe marks an inverse.  The
 leftmost letter is applied last.  ``decompose`` undoes an element in three
 moves: transport the image of the central gap back to the center, kill the
 induced boundary action with a rigid-stabilizer element, then split what
-remains into pieces supported behind single central arcs and recurse.  The
-pieces are cut from the forests alone: what remains fixes the central
-skeleton, so each hidden subtree hanging off it (one behind each central
-arc) is a piece of its own.
+remains into pieces supported behind single central arcs, pushed on one
+work list of elements still to write.  The pieces are cut from the forests
+alone: what remains fixes the central skeleton, so each hidden subtree
+hanging off it (one behind each central arc) is a piece of its own.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .lamination import GapId, ancestors, central_label, gap_color, gap_depth
 from .thompson import (
     TreePair,
     factor_t,
+    free_reduce,
     invert_word,
     t_transporter,
     tau_inverse,
@@ -54,16 +55,6 @@ def parse_word(text: str) -> list[str]:
 
 def format_word(word) -> str:
     return " ".join(word)
-
-
-def free_reduce(word) -> list[str]:
-    out: list[str] = []
-    for letter in word:
-        if out and out[-1][0] == letter[0] and (out[-1] + letter).count("'") == 1:
-            out.pop()
-        else:
-            out.append(letter)
-    return out
 
 
 def _letter_element(letter: str) -> Element:
@@ -98,21 +89,22 @@ def _bgd_to_word(letters) -> list[str]:
 
 
 def transport_gap_to_center(gap: GapId) -> list[str]:
-    """A word whose element carries the gap onto the central gap.
+    """A free-reduced word whose element carries the gap onto the central gap.
 
-    Rotate the outermost arc over the gap to label 1/2, then cross the
-    corresponding arc with the swap generator; each pass strictly lowers
-    the gap depth.
+    Each pass rotates the outermost arc over the gap to label 1/2, then
+    crosses the corresponding arc with the swap generator, and strictly
+    lowers the gap depth; the last pass is written first.
     """
-    if gap.arc is None:
-        return []
-    chain = ancestors(gap.arc)
-    outer = chain[0] if chain else gap.arc
-    mover = _bgd_to_word(factor_t(t_transporter(central_label(outer), Fraction(1, 2))))
-    step = ["a"] + mover
-    moved = image_of_gap(eval_word(step), gap)
-    assert gap_depth(moved) == gap_depth(gap) - 1, "transport failed to descend"
-    return transport_gap_to_center(moved) + step
+    passes = []
+    while gap.arc is not None:
+        outer = (ancestors(gap.arc) or [gap.arc])[0]
+        mover = factor_t(t_transporter(central_label(outer), Fraction(1, 2)))
+        step = ["a"] + _bgd_to_word(mover)
+        moved = image_of_gap(eval_word(step), gap)
+        assert gap_depth(moved) == gap_depth(gap) - 1, "transport failed to descend"
+        passes.append(step)
+        gap = moved
+    return free_reduce([letter for step in reversed(passes) for letter in step])
 
 
 def decompose(e: Element) -> list[str]:
@@ -128,24 +120,59 @@ def _arc_measure(e: Element) -> int:
 
 
 def _decompose(e: Element) -> list[str]:
-    e = reduce(e)
-    if e == identity():
-        return []
+    """The paper's finite-generation argument on one work list: a stack of
+    elements still to write and of the words that follow them.  Each
+    element takes three moves; the last pushes elements with fewer arcs."""
+    out: list[str] = []
+    todo: list = [e]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, list):
+            out.extend(item)
+            continue
+        e = reduce(item)
+        if e == identity():
+            continue
 
-    # (i) move back into the stabilizer of the central gap
-    prefix: list[str] = []
-    if not is_in_stab(e):
-        w1 = transport_gap_to_center(image_of_gap(e, GapId.central()))
-        prefix = invert_word(w1)
-        e = reduce(compose(eval_word(w1), e))
+        # (i) move back into the stabilizer of the central gap
+        if not is_in_stab(e):
+            w1 = transport_gap_to_center(image_of_gap(e, GapId.central()))
+            out.extend(invert_word(w1))
+            e = reduce(compose(eval_word(w1), e))
 
-    # (ii) kill the boundary action with a rigid-stabilizer element
-    t = boundary_action(e)
-    wg = _bgd_to_word(factor_t(t))
-    h = reduce(compose(inverse(tau_inverse(t)), e))
-    if h == identity():
-        return prefix + wg
-    return prefix + wg + _decompose_sections(h)
+        # (ii) kill the boundary action with a rigid-stabilizer element
+        t = boundary_action(e)
+        out.extend(_bgd_to_word(factor_t(t)))
+        h = reduce(compose(inverse(tau_inverse(t)), e))
+        if h == identity():
+            continue
+
+        # (iii) h fixes every central arc; split it by the slots it moves
+        measure = _arc_measure(h)
+        sections = _sections(h)
+        assert sections, "trivial boundary action but no hidden support"
+        if len(sections) >= 2:
+            for _, piece in reversed(sections):
+                assert _arc_measure(piece) < measure, "section failed to shrink"
+                todo.append(piece)
+            continue
+
+        # a single loaded slot: rotate it behind the arc at label 0, pull it
+        # one level toward the center with the swap generator, write the rest
+        forest = central_skeleton(h.domain.forest)[0]
+        m = forest.count("0")
+        j = (m - sections[0][0]) % m
+        w_rot, k = [], h
+        if j:
+            rot = tau_inverse(TreePair(forest, forest, j))
+            w_rot = _bgd_to_word(factor_t(TreePair(forest, forest, j)))
+            k = reduce(compose(compose(rot, h), inverse(rot)))
+        alpha = generator("alpha")
+        k2 = reduce(compose(compose(inverse(alpha), k), alpha))
+        assert _arc_measure(k2) < measure, "conjugation failed to shrink"
+        out.extend(invert_word(w_rot) + ["a"])
+        todo += [["a'"] + w_rot, k2]
+    return out
 
 
 def _runs(diagram: ArcDiagram) -> list[tuple[bool, str]]:
@@ -186,34 +213,3 @@ def _sections(h: Element) -> list[tuple[int, Element]]:
             )
             out.append((before, Element(ArcDiagram(domain), ArcDiagram(range_), 0)))
     return out
-
-
-def _decompose_sections(h: Element) -> list[str]:
-    """h fixes every central arc; split it by the slots it moves."""
-    measure = _arc_measure(h)
-    sections = _sections(h)
-    assert sections, "trivial boundary action but no hidden support"
-
-    if len(sections) >= 2:
-        out: list[str] = []
-        for _, piece in sections:
-            assert _arc_measure(piece) < measure, "section failed to shrink"
-            out.extend(_decompose(piece))
-        return out
-
-    # a single loaded slot: rotate it behind the arc at label 0, pull it
-    # one level toward the center with the swap generator, recurse
-    forest = central_skeleton(h.domain.forest)[0]
-    m = forest.count("0")
-    j = (m - sections[0][0]) % m
-    if j:
-        rot = tau_inverse(TreePair(forest, forest, j))
-        w_rot = _bgd_to_word(factor_t(TreePair(forest, forest, j)))
-        k = reduce(compose(compose(rot, h), inverse(rot)))
-    else:
-        w_rot = []
-        k = h
-    alpha = generator("alpha")
-    k2 = reduce(compose(compose(inverse(alpha), k), alpha))
-    assert _arc_measure(k2) < measure, "conjugation failed to shrink"
-    return invert_word(w_rot) + ["a"] + _decompose(k2) + ["a'"] + w_rot

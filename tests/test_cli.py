@@ -1,11 +1,13 @@
 import pathlib
 import random
 import shlex
+from fractions import Fraction
 
 from basilica.cli import main
 from basilica.element import equal, generator, parse_element, reduce
 from basilica.render import render_diagram, render_element
 from basilica.diagram import base_diagram
+from basilica.lamination import arc_for_label
 from basilica.words import random_element
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -71,6 +73,10 @@ def test_gap_and_abelianize(capsys):
     assert run(capsys, "abelianize", "--word", "a")[1] == "1"
     code, word = run(capsys, "gap", "--gap", "behind {5/12,7/12}")
     assert code == 0 and word
+    arc = arc_for_label(Fraction(2 ** 99 + 2 ** 41 + 1, 2 ** 100))
+    assert arc.level == 199
+    code, word = run(capsys, "gap", "--gap", f"behind {arc}")
+    assert code == 0 and len(word.split()) <= 3 * 199
     code, img = run(capsys, "gap", "--gap", "central", "--word", "a")
     assert (code, img) == (0, "behind {1/6,5/6}")
     assert run(capsys, "gap", "--gap", "behind {1/6,1/3}")[0] == 2

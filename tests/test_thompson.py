@@ -10,6 +10,7 @@ from basilica.thompson import (
     TreePair,
     boundary_action,
     factor_t,
+    free_reduce,
     parse_treepair,
     rotation_treepair,
     t_transporter,
@@ -142,6 +143,8 @@ def test_factor_t_roundtrip():
         t = random_treepair(rng, rng.randrange(0, 7))
         word = factor_t(t)
         assert tp_equal(word_to_tp(word), t)
+        assert free_reduce(word) == word
+        assert len(word) <= 6 * t.leaf_count()
     assert factor_t(tp_identity()) == []
 
 

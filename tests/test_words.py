@@ -1,5 +1,8 @@
+import inspect
 import random
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +22,14 @@ from basilica.element import (
     reduce,
 )
 from basilica.errors import ParseError
-from basilica.lamination import GapId, ancestors, central_label, gap_depth
+from basilica.lamination import (
+    Arc,
+    GapId,
+    ancestors,
+    arc_for_label,
+    central_label,
+    gap_depth,
+)
 from basilica.thompson import boundary_action, tau_inverse, tp_to_pl
 from basilica.words import (
     _sections,
@@ -82,6 +92,39 @@ def test_transport_reaches_center_for_shallow_gaps():
         count += 1
     assert transport_gap_to_center(GapId.central()) == []
     assert count >= 30
+
+
+def test_gap_words_are_linear_in_the_level():
+    # the raw word of a central arc had up to 27.5 letters per level
+    rng = random.Random(57)
+    for r in range(2, 61):
+        arc = arc_for_label(Fraction(2 * rng.randrange(2 ** (r - 1)) + 1, 2 ** r))
+        word = transport_gap_to_center(GapId.behind(arc))
+        assert len(word) <= 3 * arc.level
+
+
+def shallow_stack(call):
+    """call() with room for only 100 frames beyond the caller's."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        return call()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_decompose_needs_no_recursion():
+    # (a b g)^60 has 484 leaves and takes hundreds of conjugation steps
+    e = eval_word(["a", "b", "g"] * 60)
+    word = shallow_stack(lambda: decompose(e))
+    assert equal(eval_word(word), e)
+
+
+def test_transport_needs_no_recursion():
+    gap = GapId.behind(Arc(150, 0))
+    assert gap_depth(gap) == 150
+    word = shallow_stack(lambda: transport_gap_to_center(gap))
+    assert image_of_gap(eval_word(word), gap) == GapId.central()
 
 
 def test_decompose_multiplies_back():
