@@ -11,7 +11,7 @@ first+offset .. after+offset-1 (``ArcDiagram.farsides``).
 
 from __future__ import annotations
 
-from .circle import Angle, PLCircleMap
+from .circle import Angle, PLCircleMap, grid_map
 from .diagram import (
     ARITY,
     ArcDiagram,
@@ -46,8 +46,10 @@ class Element:
 
     def to_pl(self) -> PLCircleMap:
         dom, ran = self.domain.leaves(), self.range.leaves()
+        exp = max(iv.level for iv in dom + ran)
+        dom, ran = ([iv.grid_lo(exp) for iv in side] for side in (dom, ran))
         m = len(dom)
-        return PLCircleMap([(dom[i].lo, ran[(i + self.offset) % m].lo) for i in range(m)])
+        return grid_map(exp, [(dom[i], ran[(i + self.offset) % m]) for i in range(m)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):

@@ -5,11 +5,11 @@ repeated 1:2:1 subdivision of standard intervals; each non-base arc is the
 primary arc of exactly one standard interval.  Arcs and standard intervals
 share one canonical index (level n, index k), and subdivision, its inverse
 ``parent``, nesting and central labels are integer arithmetic on (n, k).
-One closed form, ``standard_interval``, names the standard interval
-between two points, and ``arc_between`` the arc whose farside it is;
-``arc_from_endpoints`` wraps the latter for ``Angle``s at the API edge.
-Gaps are the complementary regions: the central gap plus one gap behind
-each arc.
+One closed form, ``grid_interval``, names the standard interval between
+two points given as integers over 3*2^N, and ``grid_arc`` the arc whose
+farside it is; ``standard_interval``, ``arc_between`` and
+``arc_from_endpoints`` wrap them for grid Fractions and ``Angle``s.  Gaps
+are the complementary regions: the central gap plus one gap behind each arc.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .circle import Angle, mod1, parse_angle
+from .circle import Angle, parse_angle
 from .errors import NotAnArc, NotCentral, ParseError, excerpt
 
 
@@ -34,10 +34,13 @@ class StandardInterval(NamedTuple):
     level: int
     index: int
 
+    def grid_lo(self, exp: int) -> int:
+        """lo as a numerator over 3*2^exp, for exp >= level."""
+        return ((3 * self.index - 1) << (exp - self.level)) % (3 << exp)
+
     @property
     def lo(self) -> Fraction:
-        d = 3 << self.level
-        return Fraction((3 * self.index - 1) % d, d)
+        return Fraction(self.grid_lo(self.level), 3 << self.level)
 
     @property
     def length(self) -> Fraction:
@@ -45,8 +48,7 @@ class StandardInterval(NamedTuple):
 
     @property
     def hi(self) -> Fraction:
-        d = 3 << self.level
-        return Fraction((3 * self.index + 1) % d, d)
+        return Fraction((self.grid_lo(self.level) + 2) % (3 << self.level), 3 << self.level)
 
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi}]"
@@ -74,10 +76,8 @@ class Arc:
 
     @property
     def endpoints(self) -> frozenset:
-        d = 3 * 2 ** self.level
-        return frozenset(
-            (Angle(Fraction(3 * self.index - 1, d)), Angle(Fraction(3 * self.index + 1, d)))
-        )
+        far = self.farside()
+        return frozenset((Angle(far.lo), Angle(far.hi)))
 
     def farside(self) -> StandardInterval:
         """The ccw interval cut off on the side away from the central gap."""
@@ -88,27 +88,45 @@ class Arc:
         return f"{{{a},{b}}}"
 
 
-def standard_interval(lo: Fraction, hi: Fraction) -> StandardInterval | None:
-    """The standard interval running ccw from lo to hi (both taken mod 1),
-    or None: it has length 2/(3*2^n) = 1/(3*2^(n-1)) and lo = (3k-1)/(3*2^n)."""
-    length = mod1(hi - lo)
-    d = length.denominator
-    if length.numerator != 1 or d % 3 or (d // 3) & (d // 3 - 1):
+def grid_interval(lo: int, hi: int, exp: int) -> StandardInterval | None:
+    """The standard interval running ccw from lo to hi, numerators over
+    3*2^exp taken mod 3*2^exp, or None.  The interval (n, k) has
+    lo = (3k-1)*2^(exp-n) and length 2^(exp-n+1), and needs n >= 1."""
+    length = (hi - lo) % (3 << exp)
+    n = exp + 2 - length.bit_length()
+    if length & (length - 1) or not length or n < 1:
         return None
-    start = lo * 2 * d  # 3k - 1 in units of 1/(3*2^n), up to a multiple of 2d
-    if start.denominator != 1 or start.numerator % 3 != 2:
+    start, rest = divmod(2 * (lo % (3 << exp)), length)
+    if rest or start % 3 != 2:
         return None
-    n = (d // 3).bit_length()
-    return StandardInterval(n, (start.numerator + 1) // 3 % (1 << n))
+    return StandardInterval(n, (start + 1) // 3 % (1 << n))
 
 
-def arc_between(a: Fraction, b: Fraction) -> Arc | None:
-    """The arc with endpoints {a, b}, or None: its farside runs from one to
-    the other, and has an even index or is {1/3,2/3} = (1, 1)."""
-    for interval in (standard_interval(a, b), standard_interval(b, a)):
+def grid_arc(a: int, b: int, exp: int) -> Arc | None:
+    """The arc with endpoints {a, b}, numerators over 3*2^exp, or None: its farside
+    runs from one to the other, and has an even index or is {1/3,2/3} = (1, 1)."""
+    for interval in (grid_interval(a, b, exp), grid_interval(b, a, exp)):
         if interval is not None and (interval.index % 2 == 0 or interval == (1, 1)):
             return Arc(*interval)
     return None
+
+
+def _on_common_grid(form, a: Fraction, b: Fraction):
+    """form(a, b, N) on a and b as numerators over 3*2^N, N the larger power
+    of two in their denominators; None unless both are integers there."""
+    exp = max((x.denominator & -x.denominator).bit_length() - 1 for x in (a, b))
+    a, b = a * (3 << exp), b * (3 << exp)
+    return form(int(a), int(b), exp) if a.denominator == b.denominator == 1 else None
+
+
+def standard_interval(lo: Fraction, hi: Fraction) -> StandardInterval | None:
+    """The standard interval running ccw from lo to hi (both taken mod 1), or None."""
+    return _on_common_grid(grid_interval, lo, hi)
+
+
+def arc_between(a: Fraction, b: Fraction) -> Arc | None:
+    """The arc with endpoints {a, b}, or None."""
+    return _on_common_grid(grid_arc, a, b)
 
 
 def arc_from_endpoints(a: Angle, b: Angle) -> Arc:

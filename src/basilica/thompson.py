@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
-from .circle import PLCircleMap, mod1
+from .circle import PLCircleMap, grid_map, mod1
 from .diagram import (
     central_skeleton,
     forest_carets,
@@ -76,10 +77,11 @@ def tp_identity() -> TreePair:
 
 
 def tp_to_pl(t: TreePair) -> PLCircleMap:
-    dom = forest_cuts(t.domain)
-    ran = forest_cuts(t.range)
+    dom, ran = _leaf_depths(t.domain), _leaf_depths(t.range)
+    exp = max(dom + ran)
+    dom, ran = ([0, *accumulate(3 << exp - depth for depth in side[:-1])] for side in (dom, ran))
     m = len(dom)
-    return PLCircleMap([(dom[i], ran[(i + t.offset) % m]) for i in range(m)])
+    return grid_map(exp, [(dom[i], ran[(i + t.offset) % m]) for i in range(m)])
 
 
 def tp_inverse(t: TreePair) -> TreePair:
@@ -105,16 +107,19 @@ def tp_compose(s: TreePair, t: TreePair) -> TreePair:
 
 def forest_cuts(forest: str) -> list:
     """Left ends of the leaves, in order."""
+    return [Fraction(0), *accumulate(Fraction(1, 1 << depth) for depth in _leaf_depths(forest)[:-1])]
+
+
+def _leaf_depths(forest: str) -> list[int]:
+    """The depth of each leaf in order, the two halves at depth 1."""
     out = []
-    left = Fraction(0)
-    stack = [Fraction(1, 2)] * 2
+    stack = [1, 1]
     for node in forest:
-        size = stack.pop()
+        depth = stack.pop()
         if node == "1":
-            stack += (size / 2, size / 2)
+            stack += (depth + 1, depth + 1)
         else:
-            out.append(left)
-            left += size
+            out.append(depth)
     return out
 
 

@@ -181,10 +181,22 @@ def minimal_diagram_by_expansion(arc):
 
 # -- PL evaluation and membership by the plain rescan ------------------------
 
+def lift(f):
+    """(xs, ys): the breakpoints of f lifted to increasing Fractions over one
+    period and closed by xs[0] + 1, ys[0] + 1, built from ``f.breakpoints``
+    alone."""
+    pts = f.breakpoints
+    xs = [x for x, _ in pts]
+    ys = [pts[0][1]]
+    for (_, y0), (_, y1) in zip(pts, pts[1:]):
+        ys.append(ys[-1] + mod1(y1 - y0))
+    return xs + [xs[0] + 1], ys + [ys[0] + 1]
+
+
 def eval_linear(f, t: Fraction) -> Fraction:
     """Image of t under the PL map f, by a linear scan of its lift."""
     t = mod1(Fraction(t))
-    xs, ys = f.lifted()
+    xs, ys = lift(f)
     if t < xs[0]:
         t += 1
     for i in range(len(xs) - 1):
@@ -215,8 +227,9 @@ def recognize_by_rescan(f):
     def two_exponent(den):
         return (den & -den).bit_length() - 1
 
-    segments = f.segments()
-    for _, _, _, slope in segments:
+    xs, ys = lift(f)
+    segments = [(xs[i], ys[i], (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])) for i in range(len(xs) - 1)]
+    for _, _, slope in segments:
         if not (pow2(slope.numerator) and pow2(slope.denominator)):
             raise SlopeNotPowerOfTwo(slope)
     bps = [] if f.is_rotation() else [x for x, _ in f.breakpoints]
@@ -236,7 +249,7 @@ def recognize_by_rescan(f):
     image_by_arc = {arc: image_arc(arc) for arc in (BASE_ARC_HALF, BASE_ARC_ZERO)}
 
     m_exp = s_max = 0
-    for x_lo, _, y_lo, slope in segments:
+    for x_lo, y_lo, slope in segments:
         c = mod1(y_lo - slope * x_lo)
         m_exp = max(m_exp, two_exponent(mod1(x_lo).denominator), two_exponent(c.denominator))
         s_max = max(s_max, abs(slope.numerator.bit_length() - slope.denominator.bit_length()))

@@ -1,7 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import basilica
 
 from basilica.circle import (
     Angle,
@@ -144,5 +148,27 @@ def test_bisect_evaluation_matches_linear_scan():
         xs = [x for x, _ in f.breakpoints]
         points = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:] + [xs[0] + 1])]
         points += [Fraction(k, 48) for k in range(48)]
+        points += [Fraction(1, 5), Fraction(2, 7), Fraction(-3, 11), Fraction(7, 3)]  # off the grid
         for t in points:
             assert f.eval_fraction(t) == eval_linear(f, t)
+
+
+def _float_or_math(node) -> bool:
+    """A float literal, the name ``float`` or ``math``, or an import of ``math``."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, ast.Name):
+        return node.id in ("float", "math")
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "math" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "math"
+    return False
+
+
+def test_no_floats_outside_render():
+    # the kernel is exact: only the SVG renderer may touch floats
+    for path in sorted(Path(basilica.__file__).parent.glob("*.py")):
+        if path.name != "render.py":
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                assert not _float_or_math(node), f"{path.name}:{node.lineno}"

@@ -18,6 +18,7 @@ from basilica.lamination import (
     arc_from_endpoints,
     central_label,
     double_arc,
+    grid_interval,
     gap_color,
     gap_depth,
     neighbor_gap,
@@ -228,6 +229,7 @@ def test_standard_interval():
     assert standard_interval(Fraction(1, 6), Fraction(5, 12)) is None
     assert standard_interval(Fraction(0), Fraction(1, 2)) is None
     assert standard_interval(Fraction(1, 6), Fraction(1, 6)) is None
+    assert standard_interval(Fraction(2, 3), Fraction(1, 3)) is None  # length 2/3, level 0
     for n in range(1, 9):
         for k in range(2 ** n):
             iv = StandardInterval(n, k)
@@ -248,6 +250,25 @@ def test_closed_forms_match_former_checks():
             assert arc_between(lo, hi) == expected
             arcs += expected is not None
     assert arcs == 2 * 2 ** 6  # each arc down to level 6, both ways round
+
+
+def test_grid_interval_at_every_exponent():
+    # the integer closed form on all pairs of numerators over 3*2^exp, most
+    # of them not in lowest terms, against the former check
+    for exp in range(6):
+        d = 3 << exp
+        for lo in range(d):
+            assert grid_interval(lo, lo, exp) is None  # the empty interval
+            assert grid_interval(lo, lo + d, exp) is None  # the whole circle
+            for hi in range(d):
+                found = grid_interval(lo, hi, exp)
+                assert (found is not None) == oracles.is_standard(Fraction(lo, d), Fraction(hi, d))
+        # the interval of length 2/3 passes every test but n >= 1
+        assert grid_interval(2 << exp, 4 << exp, exp) is None
+        for n in range(1, exp + 1):
+            for k in range(2 ** n):
+                iv = StandardInterval(n, k)
+                assert grid_interval(iv.grid_lo(exp), iv.grid_lo(exp) + (2 << exp - n), exp) == iv
 
 
 def test_gap_depth_and_color():

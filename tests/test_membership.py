@@ -17,7 +17,7 @@ from basilica.membership import _is_arc_endpoint, recognize, t3_check
 from basilica.lamination import BASE_ARC_HALF, BASE_ARC_ZERO
 from basilica.words import eval_word
 
-from oracles import endpoint_partner_arc, recognize_by_rescan
+from oracles import endpoint_partner_arc, lift, recognize_by_rescan
 from test_element import random_element
 
 LETTERS = ("a", "a'", "b", "b'", "g", "g'", "d")
@@ -104,7 +104,7 @@ def test_arc_endpoints_match_former_check():
             expected = True
         except NotAnArc:
             expected = False
-        assert _is_arc_endpoint(x) == expected, x
+        assert _is_arc_endpoint(j, 9) == expected, x
         endpoints += expected
     assert endpoints == 2 * 2 ** 9  # both ends of each arc down to level 9
 
@@ -126,7 +126,9 @@ def outcome(recognizer, f) -> str:
 
 def differential_corpus(rng):
     """Members, members after a rotation by k/24, a rotation by k/24 between
-    two members, and maps with slopes 3/2 and 1/2 after a member."""
+    two members, maps with slopes 3/2 and 1/2 after a member, rotations by
+    k/(3*2^j) alone and after a member, and members with breakpoints at
+    level 30 and beyond."""
     def member(longest):
         return eval_word([rng.choice(LETTERS) for _ in range(rng.randrange(1, longest + 1))]).to_pl()
 
@@ -140,12 +142,36 @@ def differential_corpus(rng):
         r = Fraction(rng.randrange(12), 12)
         slope_map = PLCircleMap([(0, r), (Fraction(1, 2), r + Fraction(3, 4))])
         maps.append(pl_compose(slope_map, member(4)))
+    for j in range(4, 14):
+        turn_j = rotation(Fraction(rng.randrange(3 << j), 3 << j))
+        maps += [turn_j, pl_compose(turn_j, member(6))]
+    maps += [eval_word(word.split()).to_pl() for word in ("b' " * 15, "g' " * 15, "a b' " * 8)]
     return maps
+
+
+def large_members(rng, count):
+    """Members of 100 to 300 leaves, with their reduced elements."""
+    out = []
+    while len(out) < count:
+        e = eval_word([rng.choice(LETTERS) for _ in range(rng.randint(100, 200))])
+        if 100 <= e.leaf_count() <= 300:
+            out.append((e.to_pl(), reduce(e)))
+    return out
+
+
+def assert_exact_and_parsed(f):
+    """The map is stored as integers (no true division slipped in) and its
+    wire format reads back to it."""
+    assert all(type(v) is int for v in (f.exp, *f.xs, *f.ys)), repr(f)
+    assert parse_pl(str(f)) == f
 
 
 def test_walk_matches_rescan_oracle():
     rejections = []
-    for f in differential_corpus(random.Random(17)):
+    corpus = differential_corpus(random.Random(17))
+    assert sum(max(x.denominator for x, _ in f.breakpoints) >= 3 << 30 for f in corpus) >= 2
+    for f in corpus:
+        assert_exact_and_parsed(f)
         got = outcome(recognize, f)
         assert got == outcome(recognize_by_rescan, f), str(f)
         if not got.startswith("["):
@@ -155,6 +181,24 @@ def test_walk_matches_rescan_oracle():
     # some arc rejections come after the walk: their witness is no base arc
     base = {f"ArcNotPreserved {arc}" for arc in (BASE_ARC_HALF, BASE_ARC_ZERO)}
     assert any(got.startswith("ArcNotPreserved") and got not in base for got in rejections)
+    # the rescan takes seconds from 100 leaves up: there the element each
+    # map came from is the reference
+    for f, e in large_members(random.Random(18), 10):
+        assert_exact_and_parsed(f)
+        assert outcome(recognize, f) == str(e)
+
+
+def test_steep_slopes_roundtrip():
+    # slopes from 2^-6 to 2^6: recognize works on integers over 3*2^N with N
+    # deep enough for the depth bound and for shifts by the slope exponents
+    for word in ("b b b", "b' b' b'", "g g g", "g' g' g'"):
+        e = eval_word(word.split())
+        f = e.to_pl()
+        xs, ys = lift(f)
+        slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+        assert (min(slopes), max(slopes)) == (Fraction(1, 64), 64), word
+        assert recognize(f) == reduce(e)
+        assert outcome(recognize, f) == outcome(recognize_by_rescan, f)
 
 
 def test_third_rotation_after_member_rejects_on_base_arc_fast():
