@@ -1,5 +1,8 @@
 """Arc diagrams as a forest of four ternary trees over the base subdivision,
-and the forest-pair engine they share with the tree pairs of Thompson's T.
+and the forest pairs they share with the tree pairs of Thompson's T: one
+pair type, ``ForestPair``, with its equality, text form, inverse, reduce,
+compose and product, on which ``element.Element`` and ``thompson.TreePair``
+differ only in arity and in the type of a side.
 
 A forest is one string in preorder, '1' for an internal node and '0' for a
 leaf, with the trees one after another.  The arity is fixed per kind of
@@ -11,6 +14,8 @@ two halves of the gap boundary: Thompson's T acts on it.
 """
 
 from __future__ import annotations
+
+from functools import reduce as fold
 
 from .errors import ParseError, excerpt
 from .lamination import (
@@ -157,10 +162,11 @@ def central_skeleton(forest: str) -> tuple[str, list[bool]]:
 #
 # Shared by the arc pair diagrams of T_B (ternary trees over the four base
 # intervals) and the tree pairs of Thompson's T (binary trees over the two
-# halves).  A pair is (domain forest, range forest, offset): domain leaf i
-# goes to range leaf (i + offset) mod m.  A caret is a node whose children
-# are all leaves, the substring '1' + '0' * arity; its leaf position is the
-# number of leaves before it.
+# halves).  The string functions take a pair as (domain forest, range
+# forest, offset): domain leaf i goes to range leaf (i + offset) mod m; the
+# pair operations below take a ``ForestPair`` and build one of its kind.  A
+# caret is a node whose children are all leaves, the substring '1' + '0' *
+# arity; its leaf position is the number of leaves before it.
 
 def _leaf_index(forest: str, leaf: int) -> int:
     """String index of the forest's leaf at the given position."""
@@ -275,23 +281,87 @@ def pair_reduce(domain: str, range_: str, offset: int, arity: int):
         offset = (t - s) % (m - arity + 1)
 
 
-def pair_compose(f, g, arity: int):
-    """f after g, for pairs with offsets in [0, m).  The result is reduced."""
-    f_domain, f_range, f_offset = f
-    g_domain, g_range, g_offset = g
-    mid, g_shapes, f_shapes = forest_merge(g_range, f_domain, arity)
-    # g's domain grows what mid grows on g's range, and f's range what mid
-    # grows on f's domain (f read backwards, from range to domain)
-    g_domain, g_offset = pair_graft(g_domain, g_offset, g_shapes)
-    f_range, f_back = pair_graft(f_range, -f_offset % len(f_shapes), f_shapes)
-    return pair_reduce(g_domain, f_range, (g_offset - f_back) % mid.count("0"), arity)
-
-
 def pair_graft(domain: str, offset: int, shapes):
     """Grow a pair's domain to match the given subtrees grafted at its range
     leaves, one per range leaf in order; returns the grown domain and offset."""
     grown = forest_graft(domain, shapes[offset:] + shapes[:offset])
     return grown, "".join(shapes[:offset]).count("0")
+
+
+class ForestPair:
+    """A pair (domain, range, offset) of forests of one arity: domain leaf i
+    goes onto range leaf (i + offset) mod m.  A subclass fixes ``arity`` and
+    ``side``, the type of a side built from its preorder string; ``forests``
+    holds the two preorder strings that the operations read."""
+
+    __slots__ = ("domain", "range", "offset", "forests")
+    arity: int
+    side: type
+
+    def __init__(self, domain, range_, offset: int, forests: tuple[str, str]):
+        self.domain = domain
+        self.range = range_
+        self.offset = offset % forests[0].count("0")
+        self.forests = forests
+
+    def leaf_count(self) -> int:
+        return self.forests[0].count("0")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.offset == other.offset and self.forests == other.forests
+
+    def __hash__(self) -> int:
+        return hash((self.forests, self.offset))
+
+    def __str__(self) -> str:
+        domain, range_ = (format_forest(side, self.arity) for side in self.forests)
+        return f"[{domain} ; {range_} ; {self.offset}]"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+def _pair(like: ForestPair, domain: str, range_: str, offset: int):
+    """A pair of ``like``'s kind on strings that an operation built: their
+    leaf counts agree by construction, so the kind's checks are skipped."""
+    p = object.__new__(type(like))
+    ForestPair.__init__(p, like.side(domain), like.side(range_), offset, (domain, range_))
+    return p
+
+
+def inverse(p: ForestPair):
+    return type(p)(p.range, p.domain, -p.offset)
+
+
+def reduce(p: ForestPair):
+    """Cancel matching carets until none remain; the pair itself if none do."""
+    domain, range_, offset = pair_reduce(*p.forests, p.offset, p.arity)
+    if domain is p.forests[0]:
+        return p
+    return _pair(p, domain, range_, offset)
+
+
+def equal(a: ForestPair, b: ForestPair) -> bool:
+    return reduce(a) == reduce(b)
+
+
+def compose(f: ForestPair, g: ForestPair):
+    """f after g.  The result is reduced."""
+    (f_domain, f_range), (g_domain, g_range) = f.forests, g.forests
+    mid, g_shapes, f_shapes = forest_merge(g_range, f_domain, f.arity)
+    # g's domain grows what mid grows on g's range, and f's range what mid
+    # grows on f's domain (f read backwards, from range to domain)
+    g_domain, g_offset = pair_graft(g_domain, g.offset, g_shapes)
+    f_range, f_back = pair_graft(f_range, -f.offset % len(f_shapes), f_shapes)
+    offset = (g_offset - f_back) % mid.count("0")
+    return _pair(f, *pair_reduce(g_domain, f_range, offset, f.arity))
+
+
+def product(identity: ForestPair, factors):
+    """The factors composed left to right, the leftmost applied last."""
+    return fold(compose, factors, identity)
 
 
 # -- wire format -------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Group elements as arc pair diagrams.
 
-An element is a pair of arc diagrams with the same number of leaves
-together with a rotation offset: domain leaf i is carried onto range
-leaf (i + offset) mod m.  Validity requires every arc of the domain
-diagram to land on an arc of the range diagram under the induced
-boundary correspondence.  Arcs and gaps are carried by leaf positions:
+An element is a ``diagram.ForestPair`` of two arc diagrams with the same
+number of leaves and a rotation offset: domain leaf i is carried onto range
+leaf (i + offset) mod m.  Its equality, text form, ``inverse``, ``reduce``,
+``compose`` and ``equal`` are the pair's, shared with the tree pairs of
+Thompson's T; its own are the arc diagram on each side, the arc check of
+``make`` and ``to_pl``.  Validity requires every arc of the domain diagram
+to land on an arc of the range diagram under the induced boundary
+correspondence.  Arcs and gaps are carried by leaf positions:
 the farside over domain leaves first .. after-1 goes onto range leaves
 first+offset .. after+offset-1 (``ArcDiagram.farsides``).
 """
@@ -15,34 +18,33 @@ from .circle import Angle, PLCircleMap, grid_map
 from .diagram import (
     ARITY,
     ArcDiagram,
+    ForestPair,
     base_diagram,
     central_skeleton,
+    compose,
+    equal,
     forest_merge,
+    inverse,
     minimal_diagram_containing,
-    pair_compose,
     pair_graft,
-    pair_reduce,
     parse_diagram,
+    reduce,
 )
 from .errors import ArcMismatch, LeafCountMismatch, ParseError, excerpt
 from .lamination import Arc, BASE_ARC_HALF, GapId, neighbor_gap
 
 
-class Element:
-    """An arc pair diagram (domain, range, offset)."""
+class Element(ForestPair):
+    """An arc pair diagram (domain, range, offset) on two ``ArcDiagram``s."""
 
-    __slots__ = ("domain", "range", "offset")
+    __slots__ = ()
+    arity = ARITY
+    side = ArcDiagram
 
     def __init__(self, domain: ArcDiagram, range_: ArcDiagram, offset: int):
-        m = domain.leaf_count()
-        if range_.leaf_count() != m:
+        if range_.leaf_count() != domain.leaf_count():
             raise LeafCountMismatch((domain.leaf_count(), range_.leaf_count()))
-        self.domain = domain
-        self.range = range_
-        self.offset = offset % m
-
-    def leaf_count(self) -> int:
-        return self.domain.leaf_count()
+        super().__init__(domain, range_, offset, (domain.forest, range_.forest))
 
     def to_pl(self) -> PLCircleMap:
         dom, ran = self.domain.leaves(), self.range.leaves()
@@ -50,24 +52,6 @@ class Element:
         dom, ran = ([iv.grid_lo(exp) for iv in side] for side in (dom, ran))
         m = len(dom)
         return grid_map(exp, [(dom[i], ran[(i + self.offset) % m]) for i in range(m)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return (
-            self.offset == other.offset
-            and self.domain == other.domain
-            and self.range == other.range
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.range, self.offset))
-
-    def __str__(self) -> str:
-        return f"[{self.domain} ; {self.range} ; {self.offset}]"
-
-    def __repr__(self) -> str:
-        return f"Element({self})"
 
 
 def make(domain: ArcDiagram, range_: ArcDiagram, offset: int) -> Element:
@@ -114,38 +98,12 @@ def generator(name: str) -> Element:
     return _GENERATORS[name]
 
 
-def inverse(e: Element) -> Element:
-    return Element(e.range, e.domain, -e.offset)
-
-
-def reduce(e: Element) -> Element:
-    """Cancel matching carets until none remain."""
-    domain, range_, offset = pair_reduce(e.domain.forest, e.range.forest, e.offset, ARITY)
-    if domain is e.domain.forest:
-        return e
-    return Element(ArcDiagram(domain), ArcDiagram(range_), offset)
-
-
-def equal(a: Element, b: Element) -> bool:
-    return reduce(a) == reduce(b)
-
-
 def expand_pair(e: Element, i: int) -> Element:
     """Expand domain leaf i and the range leaf it corresponds to."""
     m = e.leaf_count()
     t = (i + e.offset) % m
     offset = t if i == 0 else e.offset + (2 if t < e.offset else 0)
     return Element(e.domain.expand_at(i), e.range.expand_at(t), offset)
-
-
-def compose(f: Element, g: Element) -> Element:
-    """f after g.  The result is reduced."""
-    domain, range_, offset = pair_compose(
-        (f.domain.forest, f.range.forest, f.offset),
-        (g.domain.forest, g.range.forest, g.offset),
-        ARITY,
-    )
-    return Element(ArcDiagram(domain), ArcDiagram(range_), offset)
 
 
 def evaluate(e: Element, point: Angle) -> Angle:
@@ -198,10 +156,8 @@ def is_in_stab(e: Element) -> bool:
 def is_in_rist(e: Element) -> bool:
     """Is the element supported behind central arcs only, i.e. does every
     node of its reduced diagrams border the central gap?"""
-    r = reduce(e)
     return all(
-        central_skeleton(side.forest)[0].count("1") == side.forest.count("1")
-        for side in (r.domain, r.range)
+        central_skeleton(side)[0].count("1") == side.count("1") for side in reduce(e).forests
     )
 
 

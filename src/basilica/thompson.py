@@ -1,13 +1,14 @@
 """Tree pairs for Thompson's T and the bridge to the rearrangement group.
 
-A tree pair is a pair of binary forests over the halves [0,1/2], [1/2,1]
-plus a cyclic offset matching leaves; a forest is a preorder string as in
-``diagram``, with ``ARITY`` 2.  The rigid stabilizer of the central
-gap is isomorphic to T; ``tau`` realizes the isomorphism by the central
-skeleton (``diagram.central_skeleton``): the nodes of an arc diagram that
-border the central gap form a binary forest whose leaf i has dyadic left
-end the label of the i-th central arc.  ``factor_t`` writes any tree pair
-as a free-reduced word in the three images of the rearrangement generators.
+A tree pair is a ``diagram.ForestPair`` of binary preorder strings over the
+halves [0,1/2], [1/2,1] with a cyclic offset matching leaves;
+``tp_inverse``, ``tp_reduce``, ``tp_compose`` and ``tp_equal`` are the pair
+operations shared with ``element``.  The rigid stabilizer of the central gap
+is isomorphic to T; ``tau`` realizes the isomorphism by the central skeleton
+(``diagram.central_skeleton``): the nodes of an arc diagram that border the
+central gap form a binary forest whose leaf i has dyadic left end the label
+of the i-th central arc.  ``factor_t`` writes any tree pair as a free-reduced
+word in the three images of the rearrangement generators.
 """
 
 from __future__ import annotations
@@ -18,15 +19,19 @@ from itertools import accumulate
 
 from .circle import PLCircleMap, grid_map, mod1
 from .diagram import (
+    ForestPair,
     central_skeleton,
+    compose as tp_compose,
+    equal as tp_equal,
     forest_carets,
     forest_collapse,
     forest_expand,
     format_forest,
-    pair_compose,
-    pair_reduce,
+    inverse as tp_inverse,
     parse_diagram,
     parse_forest,
+    product,
+    reduce as tp_reduce,
 )
 from .element import Element, is_in_rist, is_in_stab, make, reduce
 from .errors import NotInRist, NotInStab, ParseError, excerpt
@@ -34,42 +39,19 @@ from .errors import NotInRist, NotInStab, ParseError, excerpt
 ARITY = 2
 
 
-class TreePair:
+class TreePair(ForestPair):
     """A pair of dyadic subdivisions of the circle with a leaf offset."""
 
-    __slots__ = ("domain", "range", "offset")
+    __slots__ = ()
+    arity = ARITY
+    side = str
 
     def __init__(self, domain: str, range_: str, offset: int):
-        m = domain.count("0")
         if any(side.count("0") != side.count("1") + 2 for side in (domain, range_)):
             raise ValueError("each side needs one tree per half")
-        if range_.count("0") != m:
+        if range_.count("0") != domain.count("0"):
             raise ValueError("leaf counts differ")
-        self.domain = domain
-        self.range = range_
-        self.offset = offset % m
-
-    def leaf_count(self) -> int:
-        return self.domain.count("0")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TreePair):
-            return NotImplemented
-        return (
-            self.offset == other.offset
-            and self.domain == other.domain
-            and self.range == other.range
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.range, self.offset))
-
-    def __str__(self) -> str:
-        domain, range_ = (format_forest(side, ARITY) for side in (self.domain, self.range))
-        return f"[{domain} ; {range_} ; {self.offset}]"
-
-    def __repr__(self) -> str:
-        return f"TreePair({self})"
+        super().__init__(domain, range_, offset, (domain, range_))
 
 
 def tp_identity() -> TreePair:
@@ -82,25 +64,6 @@ def tp_to_pl(t: TreePair) -> PLCircleMap:
     dom, ran = ([0, *accumulate(3 << exp - depth for depth in side[:-1])] for side in (dom, ran))
     m = len(dom)
     return grid_map(exp, [(dom[i], ran[(i + t.offset) % m]) for i in range(m)])
-
-
-def tp_inverse(t: TreePair) -> TreePair:
-    return TreePair(t.range, t.domain, -t.offset)
-
-
-def tp_reduce(t: TreePair) -> TreePair:
-    return TreePair(*pair_reduce(t.domain, t.range, t.offset, ARITY))
-
-
-def tp_equal(a: TreePair, b: TreePair) -> bool:
-    return tp_reduce(a) == tp_reduce(b)
-
-
-def tp_compose(s: TreePair, t: TreePair) -> TreePair:
-    """s after t.  The result is reduced."""
-    return TreePair(
-        *pair_compose((s.domain, s.range, s.offset), (t.domain, t.range, t.offset), ARITY)
-    )
 
 
 # -- dyadic cut sets ---------------------------------------------------------
@@ -203,10 +166,7 @@ def _letter_tp(letter: str) -> TreePair:
 
 
 def word_to_tp(word) -> TreePair:
-    out = tp_identity()
-    for letter in word:
-        out = tp_compose(out, _letter_tp(letter))
-    return out
+    return product(tp_identity(), map(_letter_tp, word))
 
 
 def invert_word(word) -> list[str]:

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from itertools import groupby
 
-from .diagram import ArcDiagram, central_skeleton
+from .diagram import ArcDiagram, central_skeleton, product
 from .element import (
     Element,
     compose,
@@ -63,10 +63,7 @@ def _letter_element(letter: str) -> Element:
 
 
 def eval_word(word) -> Element:
-    out = identity()
-    for letter in word:
-        out = compose(out, _letter_element(letter))
-    return out
+    return product(identity(), map(_letter_element, word))
 
 
 def random_word(seed: int, length: int) -> list[str]:
@@ -138,12 +135,12 @@ def _decompose(e: Element) -> list[str]:
         if not is_in_stab(e):
             w1 = transport_gap_to_center(image_of_gap(e, GapId.central()))
             out.extend(invert_word(w1))
-            e = reduce(compose(eval_word(w1), e))
+            e = compose(eval_word(w1), e)
 
         # (ii) kill the boundary action with a rigid-stabilizer element
         t = boundary_action(e)
         out.extend(_bgd_to_word(factor_t(t)))
-        h = reduce(compose(inverse(tau_inverse(t)), e))
+        h = compose(inverse(tau_inverse(t)), e)
         if h == identity():
             continue
 
@@ -166,9 +163,9 @@ def _decompose(e: Element) -> list[str]:
         if j:
             rot = tau_inverse(TreePair(forest, forest, j))
             w_rot = _bgd_to_word(factor_t(TreePair(forest, forest, j)))
-            k = reduce(compose(compose(rot, h), inverse(rot)))
+            k = compose(compose(rot, h), inverse(rot))
         alpha = generator("alpha")
-        k2 = reduce(compose(compose(inverse(alpha), k), alpha))
+        k2 = compose(compose(inverse(alpha), k), alpha)
         assert _arc_measure(k2) < measure, "conjugation failed to shrink"
         out.extend(invert_word(w_rot) + ["a"])
         todo += [["a'"] + w_rot, k2]

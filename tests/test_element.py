@@ -23,6 +23,7 @@ from basilica.element import (
 )
 from basilica.errors import ArcMismatch, LeafCountMismatch
 from basilica.lamination import GapId, arc_from_endpoints, BASE_ARC_HALF, BASE_ARC_ZERO
+from basilica.thompson import tp_identity
 
 from oracles import image_of_arc_by_pl, image_of_gap_by_pl, make_by_angles
 from test_lamination import all_arcs
@@ -79,6 +80,9 @@ def test_expand_pair_preserves_map():
         assert bigger.leaf_count() == e.leaf_count() + 2
         assert bigger.to_pl() == e.to_pl()
         assert reduce(bigger) == reduce(e)
+        # compose reduces what it returns, even from unreduced inputs
+        for product in (compose(bigger, bigger), compose(e, bigger)):
+            assert reduce(product) == product
 
 
 def test_reduce_reaches_canonical_form():
@@ -224,4 +228,9 @@ def test_serialization_roundtrip():
     for _ in range(20):
         e = random_element(rng, rng.randrange(6))
         assert parse_element(str(e)) == e
+        assert hash(parse_element(str(e))) == hash(e)
+        assert hash(reduce(expand_pair(e, 0))) == hash(reduce(e))
+        for other in (tp_identity(), (*e.forests, e.offset), str(e)):
+            assert (e == other) is False and (other == e) is False
     assert str(identity()) == "[.,.,.,. ; .,.,.,. ; 0]"
+    assert repr(identity()) == "Element([.,.,.,. ; .,.,.,. ; 0])"

@@ -167,6 +167,9 @@ def test_expand_treepair_preserves_map():
         assert blown.leaf_count() > t.leaf_count()
         assert tp_to_pl(blown) == tp_to_pl(t)
         assert tp_reduce(blown) == t
+        # tp_compose reduces what it returns, even from unreduced inputs
+        for product in (tp_compose(blown, blown), tp_compose(t, blown)):
+            assert tp_reduce(product) == product
     assert wrapped
 
 
@@ -184,3 +187,7 @@ def test_serialization_roundtrip():
     for _ in range(15):
         t = random_treepair(rng, rng.randrange(6))
         assert parse_treepair(str(t)) == t
+        assert hash(parse_treepair(str(t))) == hash(t)
+        for other in (identity(), (*t.forests, t.offset), str(t)):
+            assert (t == other) is False and (other == t) is False
+    assert repr(tp_identity()) == "TreePair([.,. ; .,. ; 0])"
